@@ -20,7 +20,6 @@ from .dataset import (
     resample,
     select_classes,
     split_indices,
-    stratified_split,
     subset,
 )
 from .discriminant import (

@@ -15,21 +15,24 @@ from .blockdct import save_spectra
 from .config import ExperimentConfig, apply_overrides, load_config
 from .errors import QfdaError
 from .experiment import (
-    errors_csv,
-    evaluate_subspace,
+    SPLITS,
+    cost_context,
     export_eigenfaces,
     export_quantized_images,
     levels_csv,
     prepare,
+    pso_config,
+    quantized_reports,
     run_baseline_fda,
     run_experiment,
     trace_csv,
-    _write_text,
+    write_errors,
+    write_splits,
+    write_text,
 )
 from .modelio import ModelBundle, load_model, save_model
-from .pso import CostContext, PsoConfig, run_pso
-from .quantizer import QuantizerSpec, estimate_bounds, quantize
-from .rate import fit_density
+from .pso import run_pso
+from .quantizer import QuantizerSpec
 
 
 def _build_config(args) -> ExperimentConfig:
@@ -64,16 +67,10 @@ def _cmd_prepare(args):
     out = Path(cfg.output_dir)
     cache = out / "cache"
     cache.mkdir(parents=True, exist_ok=True)
-    for name, spectra in (("train", prepared.train), ("val", prepared.val),
-                          ("test", prepared.test)):
-        save_spectra(spectra, cache / f"{name}.spc")
+    for name in SPLITS:
+        save_spectra(getattr(prepared, name), cache / f"{name}.spc")
     prepared.mean_image.astype(np.float64).tofile(cache / "mean.f64")
-    splits = out / "splits"
-    splits.mkdir(exist_ok=True)
-    from .dataset import save_split_indices
-
-    for name, idx in zip(("train", "val", "test"), prepared.split_indices):
-        save_split_indices(splits / f"{name}.txt", idx)
+    write_splits(out, prepared.split_indices)
     print(f"cached {prepared.train.n}/{prepared.val.n}/{prepared.test.n} "
           f"train/val/test spectra under {cache}")
 
@@ -81,29 +78,14 @@ def _cmd_prepare(args):
 def _cmd_optimize(args):
     cfg = _build_config(args)
     prepared = prepare(cfg)
-    s = cfg.bootstrap_size or min(100, prepared.train.n)
-    bounds = estimate_bounds(prepared.train, s, cfg.bootstrap_seed)
-    density = fit_density(prepared.train, s, cfg.bootstrap_seed)
-    p = min(cfg.max_dims, prepared.layout.d_prime)
-    ctx = CostContext(spectra=prepared.train, bounds=bounds, density=density,
-                      epsilon=cfg.epsilon, subspace_dim=p)
-    pso_config = PsoConfig(
-        gamma=args.gamma, lam=args.lam, particles=cfg.particles,
-        iterations=cfg.iterations, inertia=cfg.inertia,
-        cognitive=cfg.cognitive, social=cfg.social, seed=cfg.pso_seed,
-    )
-    result = run_pso(ctx, pso_config, threads=cfg.threads)
+    ctx = cost_context(prepared, cfg)
+    result = run_pso(ctx, pso_config(cfg, args.gamma, args.lam), threads=cfg.threads)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_text(out / "levels.csv", levels_csv(result.best))
-    _write_text(out / "trace.csv", trace_csv(result))
-
-    from .discriminant import quantized_scatters, solve_subspace
-
-    spec = QuantizerSpec(bounds=bounds, levels=result.best)
-    pair = quantized_scatters(prepared.train, quantize(prepared.train, spec), args.lam)
-    sub = solve_subspace(pair, p, cfg.epsilon)
-    bundle = ModelBundle(bounds=bounds, levels=result.best, subspace=sub,
+    write_text(out / "levels.csv", levels_csv(result.best))
+    write_text(out / "trace.csv", trace_csv(result))
+    bundle = ModelBundle(bounds=ctx.bounds, levels=result.best,
+                         subspace=result.breakdown.subspace,
                          layout=prepared.layout, gamma=args.gamma, lam=args.lam,
                          breakdown=result.breakdown)
     save_model(out / "model", bundle)
@@ -129,32 +111,23 @@ def _cmd_grid(args):
     print(f"results under {result.output_dir}")
 
 
+def _write_and_print(cfg, method, reports):
+    write_errors(cfg.output_dir, method, reports)
+    for split, report in reports.items():
+        print(f"{split}: {report.mean:.4f} +- {report.std:.4f}")
+
+
 def _cmd_baseline(args):
     cfg = _build_config(args)
-    prepared = prepare(cfg)
-    _, reports = run_baseline_fda(prepared, cfg)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for split, report in reports.items():
-        _write_text(out / f"errors_fda_{split}.csv", errors_csv(report))
-        print(f"{split}: {report.mean:.4f} +- {report.std:.4f}")
+    _, reports = run_baseline_fda(prepare(cfg), cfg)
+    _write_and_print(cfg, "fda", reports)
 
 
 def _cmd_evaluate(args):
     cfg = _build_config(args)
     bundle = load_model(args.model)
-    prepared = prepare(cfg)
     spec = QuantizerSpec(bounds=bundle.bounds, levels=bundle.levels)
-    train_q = quantize(prepared.train, spec)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for split, spectra in (("train", prepared.train), ("val", prepared.val),
-                           ("test", prepared.test)):
-        report = evaluate_subspace(
-            bundle.subspace, train_q, quantize(spectra, spec), cfg, "qfda", split
-        )
-        _write_text(out / f"errors_qfda_{split}.csv", errors_csv(report))
-        print(f"{split}: {report.mean:.4f} +- {report.std:.4f}")
+    _write_and_print(cfg, "qfda", quantized_reports(bundle.subspace, spec, prepare(cfg), cfg))
 
 
 def _cmd_export_eigenfaces(args):
@@ -187,7 +160,7 @@ def _cmd_report(args):
             print(f"== {name} ==")
             print(path.read_text(encoding="utf-8").rstrip())
     for method in ("fda", "qfda"):
-        for split in ("train", "val", "test"):
+        for split in SPLITS:
             path = out / f"errors_{method}_{split}.csv"
             if not path.exists():
                 continue

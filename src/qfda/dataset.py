@@ -353,12 +353,6 @@ def split_indices(dataset: RawImageSet, spec: SplitSpec):
             np.sort(np.array(test, dtype=np.int64)))
 
 
-def stratified_split(dataset: RawImageSet, spec: SplitSpec):
-    """Split into (train, val, test) RawImageSets per the spec fractions."""
-    tr, va, te = split_indices(dataset, spec)
-    return subset(dataset, tr), subset(dataset, va), subset(dataset, te)
-
-
 def save_split_indices(path, indices) -> None:
     """Persist a split as a text index list, one integer per line."""
     Path(path).write_text(

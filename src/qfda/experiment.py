@@ -35,7 +35,7 @@ from .discriminant import (
     Subspace,
     plain_scatters,
     project,
-    quantized_scatters,
+    quantized_scatters,  # unused here; perfbench's tracer looks it up in this module
     solve_subspace,
 )
 from .errors import ConsistencyError, DataError
@@ -49,6 +49,8 @@ from .quantizer import (
     quantize,
 )
 from .rate import fit_density
+
+SPLITS = ("train", "val", "test")
 
 
 def knn_error(train_proj: Projection, eval_proj: Projection, k: int) -> float:
@@ -193,14 +195,33 @@ def run_baseline_fda(prepared: PreparedData, config: ExperimentConfig):
     pair = plain_scatters(prepared.train)
     sub = solve_subspace(pair, _subspace_dim(config, prepared), config.epsilon)
     reports = {
-        split: evaluate_subspace(sub, prepared.train, spectra, config, "fda", split)
-        for split, spectra in (
-            ("train", prepared.train),
-            ("val", prepared.val),
-            ("test", prepared.test),
-        )
+        split: evaluate_subspace(sub, prepared.train, getattr(prepared, split), config,
+                                 "fda", split)
+        for split in SPLITS
     }
     return sub, reports
+
+
+def quantized_reports(
+    subspace: Subspace,
+    spec: QuantizerSpec,
+    prepared: PreparedData,
+    config: ExperimentConfig,
+    splits=SPLITS,
+) -> dict:
+    """Quantize the training split and each named split; k-NN error per split."""
+    train_q = quantize(prepared.train, spec)
+    return {
+        split: evaluate_subspace(
+            subspace,
+            train_q,
+            train_q if split == "train" else quantize(getattr(prepared, split), spec),
+            config,
+            "qfda",
+            split,
+        )
+        for split in splits
+    }
 
 
 @dataclass
@@ -220,67 +241,65 @@ class GridResult:
     bootstrap_size: int
 
 
+def cost_context(prepared: PreparedData, config: ExperimentConfig) -> CostContext:
+    """Bounds and densities from one bootstrap sample of the training split."""
+    s = config.bootstrap_size or min(100, prepared.train.n)
+    return CostContext(
+        spectra=prepared.train,
+        bounds=estimate_bounds(prepared.train, s, config.bootstrap_seed),
+        density=fit_density(prepared.train, s, config.bootstrap_seed),
+        epsilon=config.epsilon,
+        subspace_dim=_subspace_dim(config, prepared),
+    )
+
+
+def pso_config(config: ExperimentConfig, gamma: float, lam: float) -> PsoConfig:
+    return PsoConfig(
+        gamma=gamma,
+        lam=lam,
+        particles=config.particles,
+        iterations=config.iterations,
+        inertia=config.inertia,
+        cognitive=config.cognitive,
+        social=config.social,
+        seed=config.pso_seed,
+    )
+
+
 def run_grid(prepared: PreparedData, config: ExperimentConfig) -> GridResult:
     """Swarm-optimize the level vector for every (gamma, lambda) pair.
 
-    Each cell scores its best quantizer by validation error; the winning
-    cell has minimal mean error, ties broken toward smaller gamma then
-    smaller lambda.
+    Each cell scores its best quantizer by validation error, in the subspace
+    the swarm solved for it; the winning cell has minimal mean error, ties
+    broken toward smaller gamma then smaller lambda.
     """
-    s = config.bootstrap_size or min(100, prepared.train.n)
-    bounds = estimate_bounds(prepared.train, s, config.bootstrap_seed)
-    density = fit_density(prepared.train, s, config.bootstrap_seed)
-    p = _subspace_dim(config, prepared)
-    ctx = CostContext(
-        spectra=prepared.train,
-        bounds=bounds,
-        density=density,
-        epsilon=config.epsilon,
-        subspace_dim=p,
-    )
+    ctx = cost_context(prepared, config)
     cells = []
     for gamma in config.gamma_grid:
         for lam in config.lambda_grid:
-            pso_config = PsoConfig(
-                gamma=gamma,
-                lam=lam,
-                particles=config.particles,
-                iterations=config.iterations,
-                inertia=config.inertia,
-                cognitive=config.cognitive,
-                social=config.social,
-                seed=config.pso_seed,
-            )
-            result = run_pso(ctx, pso_config, threads=config.threads)
-            spec = QuantizerSpec(bounds=bounds, levels=result.best)
-            train_q = quantize(prepared.train, spec)
-            val_q = quantize(prepared.val, spec)
-            pair = quantized_scatters(prepared.train, train_q, lam)
-            sub = solve_subspace(pair, p, config.epsilon)
-            report = evaluate_subspace(sub, train_q, val_q, config, "qfda", "val")
+            result = run_pso(ctx, pso_config(config, gamma, lam), threads=config.threads)
+            spec = QuantizerSpec(bounds=ctx.bounds, levels=result.best)
+            report = quantized_reports(result.breakdown.subspace, spec, prepared, config,
+                                       ("val",))["val"]
             cells.append(
                 GridCell(gamma=gamma, lam=lam, best_m=result.best,
                          val_report=report, pso=result)
             )
     chosen = min(cells, key=lambda c: (c.val_report.mean, c.gamma, c.lam))
-    return GridResult(cells=cells, chosen=chosen, bounds=bounds, bootstrap_size=s)
+    return GridResult(cells=cells, chosen=chosen, bounds=ctx.bounds,
+                      bootstrap_size=ctx.density.s)
 
 
 def finalize_model(prepared: PreparedData, config: ExperimentConfig, grid: GridResult):
-    """Retrain at the chosen cell on the training split; evaluate all splits."""
+    """Bundle the chosen cell's quantizer and subspace; evaluate all splits.
+
+    The subspace is the one the swarm solved for the chosen level vector
+    and lambda, so nothing is solved again here.
+    """
     cell = grid.chosen
     spec = QuantizerSpec(bounds=grid.bounds, levels=cell.best_m)
-    quantized = {
-        "train": quantize(prepared.train, spec),
-        "val": quantize(prepared.val, spec),
-        "test": quantize(prepared.test, spec),
-    }
-    pair = quantized_scatters(prepared.train, quantized["train"], cell.lam)
-    sub = solve_subspace(pair, _subspace_dim(config, prepared), config.epsilon)
-    reports = {
-        split: evaluate_subspace(sub, quantized["train"], sp, config, "qfda", split)
-        for split, sp in quantized.items()
-    }
+    sub = cell.pso.breakdown.subspace
+    reports = quantized_reports(sub, spec, prepared, config)
     bundle = ModelBundle(
         bounds=grid.bounds,
         levels=cell.best_m,
@@ -393,9 +412,25 @@ def trace_csv(pso: PsoResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_text(path: Path, text: str) -> None:
+def write_text(path: Path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+def write_errors(output_dir, method: str, reports: dict) -> None:
+    """One errors_{method}_{split}.csv per report."""
+    output_dir = Path(output_dir)
+    output_dir.mkdir(parents=True, exist_ok=True)
+    for split, report in reports.items():
+        write_text(output_dir / f"errors_{method}_{split}.csv", errors_csv(report))
+
+
+def write_splits(output_dir, split_indices) -> None:
+    """One splits/{split}.txt index list per split."""
+    splits_dir = Path(output_dir) / "splits"
+    splits_dir.mkdir(parents=True, exist_ok=True)
+    for name, idx in zip(SPLITS, split_indices):
+        save_split_indices(splits_dir / f"{name}.txt", idx)
 
 
 @dataclass
@@ -412,31 +447,26 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Full protocol: baseline, grid search, final model, file exports."""
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_text(out / "config.txt", config_text(config))
+    write_text(out / "config.txt", config_text(config))
 
     prepared = prepare(config)
-    splits_dir = out / "splits"
-    splits_dir.mkdir(exist_ok=True)
-    for name, idx in zip(("train", "val", "test"), prepared.split_indices):
-        save_split_indices(splits_dir / f"{name}.txt", idx)
+    write_splits(out, prepared.split_indices)
 
     _, fda_reports = run_baseline_fda(prepared, config)
-    for split, report in fda_reports.items():
-        _write_text(out / f"errors_fda_{split}.csv", errors_csv(report))
+    write_errors(out, "fda", fda_reports)
 
     grid = run_grid(prepared, config)
-    _write_text(out / "grid.csv", grid_csv(grid, config))
+    write_text(out / "grid.csv", grid_csv(grid, config))
     for cell in grid.cells:
         cell_dir = out / f"cell_g{_fmt(cell.gamma)}_l{_fmt(cell.lam)}"
         cell_dir.mkdir(exist_ok=True)
-        _write_text(cell_dir / "trace.csv", trace_csv(cell.pso))
-        _write_text(cell_dir / "levels.csv", levels_csv(cell.best_m))
+        write_text(cell_dir / "trace.csv", trace_csv(cell.pso))
+        write_text(cell_dir / "levels.csv", levels_csv(cell.best_m))
 
     bundle, qfda_reports = finalize_model(prepared, config, grid)
-    for split, report in qfda_reports.items():
-        _write_text(out / f"errors_qfda_{split}.csv", errors_csv(report))
-    _write_text(out / "levels.csv", levels_csv(bundle.levels))
-    _write_text(out / "trace.csv", trace_csv(grid.chosen.pso))
+    write_errors(out, "qfda", qfda_reports)
+    write_text(out / "levels.csv", levels_csv(bundle.levels))
+    write_text(out / "trace.csv", trace_csv(grid.chosen.pso))
     save_model(out / "model", bundle)
 
     export_eigenfaces(

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blockdct import SpectrumSet
-from .discriminant import criterion, quantized_scatters, solve_subspace
+from .discriminant import Subspace, criterion, quantized_scatters, solve_subspace
 from .errors import NumericError, OptimizationError
 from .quantizer import BoundVector, LevelVector, QuantizerSpec, project_levels, quantize
 from .rate import FrequencyDensity, rate
@@ -58,6 +58,8 @@ class CostBreakdown:
     criterion: float
     rate: float
     total: float
+    # the solved subspace, so callers never solve the same m again; not saved
+    subspace: Subspace | None = field(default=None, compare=False, repr=False)
 
 
 def evaluate_cost(m: np.ndarray, ctx: CostContext, gamma: float, lam: float) -> CostBreakdown:
@@ -71,7 +73,7 @@ def evaluate_cost(m: np.ndarray, ctx: CostContext, gamma: float, lam: float) -> 
     except NumericError:
         return CostBreakdown(criterion=np.nan, rate=np.nan, total=np.inf)
     rbar = rate(ctx.density, spec).average
-    return CostBreakdown(criterion=f_q, rate=rbar, total=-f_q + gamma * rbar)
+    return CostBreakdown(criterion=f_q, rate=rbar, total=-f_q + gamma * rbar, subspace=sub)
 
 
 @dataclass

@@ -97,7 +97,6 @@ class RateReport:
 
     per_frequency: np.ndarray  # (64,)
     average: float
-    intervals_used: list      # 64 lists of (lower, upper) pairs
 
 
 def interval_masses(density: FrequencyDensity, spec: QuantizerSpec, k: int):
@@ -112,17 +111,11 @@ def interval_masses(density: FrequencyDensity, spec: QuantizerSpec, k: int):
 def rate(density: FrequencyDensity, spec: QuantizerSpec) -> RateReport:
     """Entropy rate of every frequency under the given quantizer."""
     per_frequency = np.empty(NUM_FREQUENCIES)
-    intervals_used = []
     for k in range(NUM_FREQUENCIES):
-        masses, intervals = interval_masses(density, spec, k)
+        masses, _ = interval_masses(density, spec, k)
         positive = masses[masses > 0.0]
         per_frequency[k] = -(positive * np.log2(positive)).sum()
-        intervals_used.append(intervals)
-    return RateReport(
-        per_frequency=per_frequency,
-        average=float(per_frequency.mean()),
-        intervals_used=intervals_used,
-    )
+    return RateReport(per_frequency=per_frequency, average=float(per_frequency.mean()))
 
 
 def rate_report_csv(report: RateReport, spec: QuantizerSpec) -> str:

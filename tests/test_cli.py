@@ -89,6 +89,15 @@ class TestOptimizeEvaluateExport:
             assert f"{split}: " in stdout
             assert (out / f"errors_qfda_{split}.csv").is_file()
 
+    def test_evaluate_reproduces_grid_errors(self, idx_paths, tmp_path, capsys):
+        grid_out, eval_out = tmp_path / "grid", tmp_path / "eval"
+        assert main(["grid"] + base_args(idx_paths, grid_out)) == 0
+        assert main(["evaluate", "--model", str(grid_out / "model")]
+                    + base_args(idx_paths, eval_out)) == 0
+        for split in ("train", "val", "test"):
+            name = f"errors_qfda_{split}.csv"
+            assert (eval_out / name).read_bytes() == (grid_out / name).read_bytes()
+
     def test_export_commands(self, idx_paths, model_dir, tmp_path, capsys):
         out = tmp_path / "exports"
         code = main(["export-eigenfaces", "--model", str(model_dir / "model"),

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import qfda.experiment
+import qfda.pso
+
 from qfda.blockdct import BlockLayout, SpectrumSet, forward_dct, inverse_dct
 from qfda.config import ExperimentConfig
 from qfda.dataset import read_pgm
@@ -396,3 +399,38 @@ class TestDeterminism:
             (b.output_dir / "model" / "model.json").read_bytes()
         assert (a.output_dir / "model" / "subspace.bin").read_bytes() == \
             (b.output_dir / "model" / "subspace.bin").read_bytes()
+
+
+class TestOneSolvePerLevelVector:
+    def test_only_swarm_and_baseline_solve(self, idx_paths, tmp_path, monkeypatch):
+        calls = []
+        for module in (qfda.pso, qfda.experiment):
+            original = module.solve_subspace
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "solve_subspace", counted)
+        config = small_config(idx_paths, tmp_path, lambda_grid=[0.5, 2.0])
+        result = run_experiment(config)
+        fresh = sum(cell.pso.evaluations for cell in result.grid.cells)
+        assert len(calls) == fresh + 1  # the plain baseline solves once
+
+    def test_model_subspace_is_the_chosen_cells_solve(self, experiment):
+        config, result = experiment
+        chosen = result.grid.chosen
+        prepared = prepare(config)
+        spec = QuantizerSpec(bounds=result.grid.bounds, levels=chosen.best_m)
+        pair = quantized_scatters(prepared.train, quantize(prepared.train, spec),
+                                  chosen.lam)
+        expected = solve_subspace(pair, min(config.max_dims, prepared.layout.d_prime),
+                                  config.epsilon)
+        assert result.bundle.subspace.u.tobytes() == expected.u.tobytes()
+        assert result.bundle.subspace.eigenvalues.tobytes() == \
+            expected.eigenvalues.tobytes()
+
+    def test_saved_breakdown_carries_no_subspace(self, experiment):
+        _, result = experiment
+        assert result.bundle.breakdown.subspace is result.bundle.subspace
+        assert load_model(result.output_dir / "model").breakdown.subspace is None
