@@ -63,6 +63,14 @@ class ExperimentConfig:
             raise ValueError("gamma and lambda grids must be nonempty")
         if self.max_dims < 1 or self.k_nn < 1:
             raise ValueError("max_dims and k_nn must be at least 1")
+        if self.particles < 1 or self.iterations < 1:
+            raise ValueError("particles and iterations must be at least 1")
+        if not 0 < self.resample_factor <= 1:
+            raise ValueError(f"resample_factor {self.resample_factor!r} outside (0, 1]")
+        if self.max_train_samples < 1:
+            raise ValueError("max_train_samples must be at least 1")
+        if self.images_per_class < 0:
+            raise ValueError("images_per_class must be at least 0")
 
 
 _LIST_KEYS = {"classes": int, "gamma_grid": float, "lambda_grid": float}

@@ -1,4 +1,4 @@
-"""Fisher discriminant subspaces in matrix form.
+"""Fisher discriminant subspaces in matrix form, solved in the span of the data.
 
 Scatter matrices are built without explicit per-sample loops: with the
 centering matrix H = I - (1/n) 1 1^T,
@@ -13,16 +13,28 @@ factor of X with the quantized spectra X' and add a cross term weighted by
 lambda; the products are symmetrized, which leaves both traces unchanged.
 That cross term can make the quantized S_W indefinite; for the plain
 scatters S_W is semidefinite and |S_W| = S_W, so one pencil covers both.
+
+Every scatter has the form X A X'^T, so it lives in the span of the stacked
+columns [X, X'].  When there are fewer of them than the d' coordinates, a
+ScatterPair keeps an orthonormal basis Q (d' x r, r <= 2n) of that span and
+the r x r scatters T = Q^T S_T Q and W = Q^T S_W Q, built by the same
+formulas on Q^T X and Q^T X'.  This is exact: S_T = Q T Q^T,
+|S_W| = Q |W| Q^T, and outside span(Q) S_T = 0, so the pencil's eigenvalues
+there are 0 and its top p eigenpairs, when non-negative, are those of the
+r x r pencil (T, |W| + eps I) lifted by Q.  Solve cost therefore scales with
+n, not d', and no d' x d' matrix is formed unless a caller reads s_t, s_w or
+s_b.
 """
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from .blockdct import SpectrumSet
-from .errors import ConsistencyError, FormatError, NumericError
+from .errors import ConsistencyError, DataError, FormatError, NumericError
 
 SUBSPACE_MAGIC = b"QSUB"
 
@@ -37,14 +49,33 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-@dataclass
 class ScatterPair:
-    """Total and within-class scatter of one spectra set."""
+    """Total and within-class scatter of one spectra set, S = Q M Q^T.
 
-    s_t: np.ndarray
-    s_w: np.ndarray
-    lam: float
-    kind: str  # "plain" or "quantized"
+    With a basis Q (d' x r, orthonormal columns), the given matrices are the
+    r x r scatters T and W in its coordinates; without one, Q = I and they
+    are the d' x d' scatters themselves.  s_t, s_w and s_b lift to d' x d'
+    only when read.
+    """
+
+    def __init__(self, s_t: np.ndarray, s_w: np.ndarray, lam: float, kind: str,
+                 basis: np.ndarray | None = None):
+        self.t = s_t
+        self.w = s_w
+        self.lam = lam
+        self.kind = kind  # "plain" or "quantized"
+        self.basis = basis
+
+    def _lift(self, a: np.ndarray) -> np.ndarray:
+        return a if self.basis is None else _sym(self.basis @ a @ self.basis.T)
+
+    @cached_property
+    def s_t(self) -> np.ndarray:
+        return self._lift(self.t)
+
+    @cached_property
+    def s_w(self) -> np.ndarray:
+        return self._lift(self.w)
 
     @property
     def s_b(self) -> np.ndarray:
@@ -56,15 +87,29 @@ def _class_slices(labels: np.ndarray):
         yield np.flatnonzero(labels == j)
 
 
+def _span_basis(*blocks: np.ndarray) -> np.ndarray | None:
+    """Orthonormal basis of the blocks' stacked columns; None (Q = I) when
+    there are at least as many columns as rows."""
+    stacked = np.hstack(blocks)
+    if stacked.shape[1] >= stacked.shape[0]:
+        return None
+    return np.linalg.qr(stacked)[0]
+
+
+def _in_basis(basis: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+    return x if basis is None else basis.T @ x
+
+
 def plain_scatters(spectra: SpectrumSet) -> ScatterPair:
     """S_T and S_W of unquantized spectra."""
-    x = spectra.coeffs
+    basis = _span_basis(spectra.coeffs)
+    x = _in_basis(basis, spectra.coeffs)
     s_t = _centered_product(x, x)
     s_w = np.zeros_like(s_t)
     for idx in _class_slices(spectra.labels):
         xj = x[:, idx]
         s_w += _centered_product(xj, xj)
-    return ScatterPair(s_t=s_t, s_w=s_w, lam=0.0, kind="plain")
+    return ScatterPair(s_t=s_t, s_w=s_w, lam=0.0, kind="plain", basis=basis)
 
 
 def quantized_scatters(
@@ -75,14 +120,16 @@ def quantized_scatters(
         raise ConsistencyError("spectra and quantized spectra differ in shape")
     if not np.array_equal(spectra.labels, quantized.labels):
         raise ConsistencyError("spectra and quantized spectra labels differ")
-    x = spectra.coeffs
-    xq = quantized.coeffs
+    basis = _span_basis(spectra.coeffs, quantized.coeffs)
+    x = _in_basis(basis, spectra.coeffs)
+    xq = _in_basis(basis, quantized.coeffs)
     s_t = _sym(_centered_product(xq, xq) + lam * _centered_product(x, xq))
     s_w = np.zeros_like(s_t)
     for idx in _class_slices(spectra.labels):
         xj, xqj = x[:, idx], xq[:, idx]
         s_w += _sym(_centered_product(xqj, xqj) + lam * _centered_product(xj, xqj))
-    return ScatterPair(s_t=s_t, s_w=s_w, lam=float(lam), kind="quantized")
+    return ScatterPair(s_t=s_t, s_w=s_w, lam=float(lam), kind="quantized",
+                       basis=basis)
 
 
 @dataclass
@@ -101,29 +148,41 @@ class Subspace:
 def solve_subspace(pair: ScatterPair, p: int, epsilon: float) -> Subspace:
     """Top-p generalized eigenpairs of (S_T, |S_W| + eps I), spectrum descending.
 
-    With sym(S_W) = Q diag(w) Q^T, the pencil is whitened by
-    W = Q diag(|w| + eps)^(-1/2), and the top p eigenvectors Y of
-    W^T S_T W lift back as U = W Y.  The quantized within scatter is
-    indefinite (its cross term subtracts an error-correlation matrix), so no
-    tiny diagonal shift makes it definite; its spectral absolute value
+    The solve runs on the pair's r x r scatters (T, W): S_T vanishes outside
+    the span of the pair's basis, so eigenvalues there are 0 and every
+    non-zero one belongs to the r x r pencil (T, |W| + eps I).  With
+    sym(W) = V diag(w) V^T, that pencil is whitened by
+    B = V diag(|w| + eps)^(-1/2), and the top p eigenvectors Y of B^T T B
+    lift back to d' coordinates as U = Q B Y.  The quantized within scatter
+    is indefinite (its cross term subtracts an error-correlation matrix), so
+    no tiny diagonal shift makes it definite; its spectral absolute value
     penalizes those artifact directions by the magnitude of their
     within-class energy and leaves semidefinite inputs unchanged.  Columns
     keep unit norm under |S_W| + eps I, with the largest-magnitude entry made
-    positive so repeated solves agree exactly.
+    positive so repeated solves agree exactly.  Asking for more directions
+    than the span holds (p > r) raises DataError: the rest would be
+    arbitrary directions with eigenvalue 0.
     """
-    d = pair.s_t.shape[0]
+    r = pair.t.shape[0]
+    d = r if pair.basis is None else pair.basis.shape[0]
     if not 1 <= p <= d:
         raise ValueError(f"subspace dimension {p} outside [1, {d}]")
+    if p > r:
+        raise DataError(f"cannot take {p} discriminant directions from data "
+                        f"spanning only r = {r} of {d} dimensions")
     try:
-        w, q = np.linalg.eigh(_sym(pair.s_w))
-        whiten = q / np.sqrt(np.abs(w) + epsilon)
-        m_std = _sym(whiten.T @ _sym(pair.s_t) @ whiten)
-        vals, y = scipy.linalg.eigh(m_std, subset_by_index=[d - p, d - 1])
+        w, v = np.linalg.eigh(_sym(pair.w))
+        whiten = v / np.sqrt(np.abs(w) + epsilon)
+        m_std = _sym(whiten.T @ _sym(pair.t) @ whiten)
+        vals, y = scipy.linalg.eigh(m_std, subset_by_index=[r - p, r - 1])
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"generalized eigensolve failed: {exc}") from exc
     if not np.isfinite(vals).all():
         raise NumericError("eigensolve produced non-finite eigenvalues")
-    vals, vecs = vals[::-1].copy(), (whiten @ y)[:, ::-1]  # eigh sorts ascending
+    vecs = whiten @ y
+    if pair.basis is not None:
+        vecs = pair.basis @ vecs
+    vals, vecs = vals[::-1].copy(), vecs[:, ::-1]  # eigh sorts ascending
     anchors = np.abs(vecs).argmax(axis=0)
     signs = np.sign(vecs[anchors, np.arange(p)])
     signs[signs == 0] = 1.0
@@ -134,11 +193,14 @@ def criterion(pair: ScatterPair, subspace: Subspace, q: int | None = None) -> fl
     """tr(U^T S_T U) / tr(U^T (S_W + eps I) U) over the first q directions.
 
     Uses the shift the subspace was solved with, so the denominator is the
-    inner product the columns are normalized under (q, for an eigen-U).
+    inner product the columns are normalized under (q, for an eigen-U).  The
+    scatter traces are taken in the pair's basis, with V = Q^T U against the
+    r x r scatters; only the shift term needs U itself.
     """
     u = subspace.u if q is None else subspace.u[:, :q]
-    num = np.trace(u.T @ pair.s_t @ u)
-    den = np.trace(u.T @ pair.s_w @ u) + subspace.epsilon * np.trace(u.T @ u)
+    v = _in_basis(pair.basis, u)
+    num = np.trace(v.T @ pair.t @ v)
+    den = np.trace(v.T @ pair.w @ v) + subspace.epsilon * np.trace(u.T @ u)
     if den <= 0:
         raise NumericError(f"within-class trace {den!r} is not positive")
     return float(num / den)

@@ -160,6 +160,27 @@ class TestErrorPaths:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", ["particles=0", "iterations=0",
+                                          "resample_factor=2", "resample_factor=0",
+                                          "max_train_samples=0",
+                                          "images_per_class=-1"])
+    def test_out_of_range_config_value(self, idx_paths, override, tmp_path,
+                                       capsys):
+        code = main(["grid"] + base_args(idx_paths, tmp_path)
+                    + ["--set", override])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "grid.csv").exists()
+
+    def test_too_few_training_images_for_max_dims(self, idx_paths, tmp_path,
+                                                  capsys):
+        # 6 training images span only 6 dimensions: 20 directions cannot exist
+        code = main(["baseline"] + base_args(idx_paths, tmp_path)
+                    + ["--set", "max_train_samples=6", "--set", "max_dims=20"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "20" in err and "r = 6" in err
+
 
 class TestDamagedModel:
     @pytest.mark.parametrize("damage", ["subspace.bin", "height", "width",

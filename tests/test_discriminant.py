@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,7 +16,7 @@ from qfda.discriminant import (
     save_subspace,
     solve_subspace,
 )
-from qfda.errors import ConsistencyError, FormatError, NumericError
+from qfda.errors import ConsistencyError, DataError, FormatError, NumericError
 from qfda.quantizer import BoundVector, LevelVector, QuantizerSpec, quantize
 
 from helpers import gaussian_class_spectra
@@ -283,6 +285,108 @@ class TestCriterion:
                         epsilon=EPS)
         with pytest.raises(NumericError):
             criterion(pair, dead)
+
+
+def quantized_pair_spectra(d, n, seed):
+    """Two-class spectra with d' = d and a coarse 2-level quantization."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0, 3, size=(d, n))
+    x[:, 1::2] += rng.normal(0, 3, size=(d, 1))
+    labels = np.arange(n) % 2
+    spectra = spectrum_set(x, labels)
+    bounds = BoundVector(ell=np.full(64, int(np.ceil(np.abs(x).max()))))
+    spec = QuantizerSpec(bounds=bounds,
+                         levels=LevelVector(m=np.full(64, 2, np.int64)))
+    return spectra, quantize(spectra, spec)
+
+
+class TestSpanReduction:
+    def test_lifted_scatters_match_oracle_and_direct_products(self):
+        rng = np.random.default_rng(30)
+        d, n = 1024, 30
+        x = rng.normal(0, 3, size=(d, n))
+        labels = np.arange(n) % 3
+        pair = plain_scatters(spectrum_set(x, labels))
+        assert pair.basis.shape == (d, n) and pair.t.shape == (n, n)
+        s_t, s_w, s_b = scatter_oracle(x, labels)
+        scale = np.abs(s_t).max()
+        np.testing.assert_allclose(pair.s_t, s_t, atol=1e-8 * scale)
+        np.testing.assert_allclose(pair.s_w, s_w, atol=1e-8 * scale)
+        np.testing.assert_allclose(pair.s_b, s_b, atol=1e-8 * scale)
+
+        xq = np.round(x)
+        lam = 0.7
+        mixed = quantized_scatters(spectrum_set(x, labels),
+                                   spectrum_set(xq, labels), lam)
+        assert mixed.basis.shape == (d, 2 * n)
+        xqc = xq - xq.mean(axis=1, keepdims=True)
+        direct_t = xq @ xqc.T + lam * x @ xqc.T
+        direct_w = np.zeros((d, d))
+        for j in range(3):
+            xj, xqj = x[:, labels == j], xq[:, labels == j]
+            xqjc = xqj - xqj.mean(axis=1, keepdims=True)
+            direct_w += xqj @ xqjc.T + lam * xj @ xqjc.T
+        direct_t, direct_w = 0.5 * (direct_t + direct_t.T), 0.5 * (direct_w + direct_w.T)
+        scale = np.abs(direct_t).max()
+        np.testing.assert_allclose(mixed.s_t, direct_t, atol=1e-8 * scale)
+        np.testing.assert_allclose(mixed.s_w, direct_w, atol=1e-8 * scale)
+        np.testing.assert_array_equal(mixed.s_t, mixed.s_t.T)
+
+    def test_reduced_solve_solves_the_full_pencil(self):
+        # a shift of 1 keeps this pencil well conditioned; at EPS the top
+        # eigenvalue is 1/eps-sized and its residual is rounding noise on
+        # the d' path as much as on the reduced one
+        d, p, eps = 256, 5, 1.0
+        spectra, quantized = quantized_pair_spectra(d, 40, seed=31)
+        pair = quantized_scatters(spectra, quantized, lam=2.0)
+        assert pair.t.shape == (80, 80)
+        sub = solve_subspace(pair, p, eps)
+        w, q = np.linalg.eigh(pair.s_w)
+        assert w.min() < -eps  # the indefinite case the spectral |S_W| is for
+        shifted = (q * np.abs(w)) @ q.T + eps * np.eye(d)
+        norm_t = np.linalg.norm(pair.s_t, 2)
+        for i in range(p):
+            u = sub.u[:, i]
+            resid = np.linalg.norm(pair.s_t @ u - sub.eigenvalues[i] * (shifted @ u))
+            assert resid <= 1e-6 * norm_t
+        np.testing.assert_allclose(sub.u.T @ shifted @ sub.u, np.eye(p), atol=1e-8)
+        vals = scipy.linalg.eigh(pair.s_t, shifted, eigvals_only=True)
+        np.testing.assert_allclose(sub.eigenvalues, vals[::-1][:p], rtol=1e-8)
+        u = sub.u
+        manual = np.trace(u.T @ pair.s_t @ u) / (
+            np.trace(u.T @ pair.s_w @ u) + eps * np.trace(u.T @ u))
+        assert criterion(pair, sub) == pytest.approx(manual, rel=1e-10)
+
+    def test_no_basis_when_columns_reach_d_prime(self):
+        rng = np.random.default_rng(32)
+        x = rng.normal(size=(64, 64))
+        labels = np.arange(64) % 2
+        plain = plain_scatters(spectrum_set(x, labels))
+        assert plain.basis is None and plain.s_t is plain.t
+        half = spectrum_set(x[:, :32], labels[:32])
+        assert quantized_scatters(half, half, lam=0.5).basis is None
+        fewer = spectrum_set(x[:, :31], labels[:31])
+        assert quantized_scatters(fewer, fewer, lam=0.5).basis.shape == (64, 62)
+
+    def test_cost_path_forms_no_d_prime_square(self):
+        d = 2048
+        spectra, quantized = quantized_pair_spectra(d, 40, seed=33)
+        tracemalloc.start()
+        try:
+            pair = quantized_scatters(spectra, quantized, lam=0.5)
+            criterion(pair, solve_subspace(pair, 20, EPS))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < d * d * 8 / 4
+
+    def test_more_directions_than_the_span_rejected(self):
+        rng = np.random.default_rng(34)
+        pair = plain_scatters(spectrum_set(rng.normal(size=(64, 5)),
+                                           np.arange(5) % 2))
+        assert solve_subspace(pair, 5, EPS).dim == 5
+        with pytest.raises(DataError, match="6 .* r = 5"):
+            solve_subspace(pair, 6, EPS)
 
 
 class TestProject:
