@@ -11,14 +11,12 @@ concatenation of its blocks in row-major block order, each block flattened
 row-major, giving a d' = padded_height * padded_width feature vector.
 """
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .dataset import CenteredImageSet
-from .errors import ConsistencyError, FormatError
+from .errors import ConsistencyError
 
 BLOCK = 8
 
@@ -147,48 +145,4 @@ def inverse_dct(spectra: SpectrumSet) -> CenteredImageSet:
         height=layout.height,
         width=layout.width,
         labels=spectra.labels.copy(),
-        provenance="inverse_dct",
     )
-
-
-def frequency_view(spectra: SpectrumSet, k: int) -> np.ndarray:
-    """All block coefficients of frequency k, image-major then block-major."""
-    if not 0 <= k < 64:
-        raise IndexError(f"frequency index {k} out of range [0, 64)")
-    return spectra.coeffs[k::64, :].T.ravel().copy()
-
-
-SPECTRA_MAGIC = b"QSPC"
-
-
-def save_spectra(spectra: SpectrumSet, path) -> None:
-    """Write a spectrum set as a flat little-endian binary file.
-
-    Layout: magic, (d', n, height, width, padded_height, padded_width) as
-    int32, the coefficient matrix as column-major float64, then labels as
-    int64.
-    """
-    layout = spectra.layout
-    with open(path, "wb") as f:
-        f.write(SPECTRA_MAGIC)
-        f.write(struct.pack("<6i", layout.d_prime, spectra.n,
-                            layout.height, layout.width,
-                            layout.padded_height, layout.padded_width))
-        f.write(np.asfortranarray(spectra.coeffs).tobytes(order="F"))
-        f.write(spectra.labels.astype("<i8").tobytes())
-
-
-def load_spectra(path) -> SpectrumSet:
-    data = Path(path).read_bytes()
-    if data[:4] != SPECTRA_MAGIC:
-        raise FormatError(f"{path}: not a spectrum file")
-    d_prime, n, h, w, ph, pw = struct.unpack_from("<6i", data, 4)
-    layout = BlockLayout(h, w, ph, pw)
-    if layout.d_prime != d_prime:
-        raise ConsistencyError(f"{path}: header d'={d_prime} mismatches layout")
-    offset = 4 + 24
-    coeffs = np.frombuffer(data, dtype="<f8", count=d_prime * n, offset=offset)
-    coeffs = coeffs.reshape(d_prime, n, order="F").copy()
-    offset += d_prime * n * 8
-    labels = np.frombuffer(data, dtype="<i8", count=n, offset=offset).copy()
-    return SpectrumSet(coeffs=coeffs, layout=layout, labels=labels)

@@ -6,14 +6,12 @@ overrides individual keys and the dedicated flags override the common ones.
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .blockdct import save_spectra
 from .config import ExperimentConfig, apply_overrides, load_config
-from .errors import FormatError, QfdaError
+from .errors import DataError, FormatError, QfdaError
 from .experiment import (
     SPLITS,
     cost_context,
@@ -36,23 +34,23 @@ from .quantizer import QuantizerSpec
 
 
 def _build_config(args) -> ExperimentConfig:
+    flags = {}
+    if args.output_dir:
+        flags["output_dir"] = args.output_dir
+    if args.threads is not None:
+        flags["threads"] = args.threads
+    if args.seed is not None:
+        flags.update(split_seed=args.seed, bootstrap_seed=args.seed, pso_seed=args.seed)
     cfg = ExperimentConfig()
     try:
         if args.config:
             cfg = load_config(args.config, base=cfg)
         if args.set:
             cfg = apply_overrides(cfg, args.set)
+        # replace() reruns the config's validation on the flag values
+        return dataclasses.replace(cfg, **flags)
     except ValueError as exc:
         raise FormatError(f"bad config: {exc}") from exc
-    if args.output_dir:
-        cfg.output_dir = args.output_dir
-    if args.threads is not None:
-        cfg.threads = args.threads
-    if args.seed is not None:
-        cfg.split_seed = args.seed
-        cfg.bootstrap_seed = args.seed
-        cfg.pso_seed = args.seed
-    return cfg
 
 
 def _add_common(parser):
@@ -68,14 +66,9 @@ def _cmd_prepare(args):
     cfg = _build_config(args)
     prepared = prepare(cfg)
     out = Path(cfg.output_dir)
-    cache = out / "cache"
-    cache.mkdir(parents=True, exist_ok=True)
-    for name in SPLITS:
-        save_spectra(getattr(prepared, name), cache / f"{name}.spc")
-    prepared.mean_image.astype(np.float64).tofile(cache / "mean.f64")
     write_splits(out, prepared.split_indices)
-    print(f"cached {prepared.train.n}/{prepared.val.n}/{prepared.test.n} "
-          f"train/val/test spectra under {cache}")
+    print(f"wrote {prepared.train.n}/{prepared.val.n}/{prepared.test.n} "
+          f"train/val/test indices under {out / 'splits'}")
 
 
 def _cmd_optimize(args):
@@ -136,7 +129,10 @@ def _cmd_evaluate(args):
 def _cmd_export_eigenfaces(args):
     cfg = _build_config(args)
     bundle = load_model(args.model)
-    count = args.count or min(cfg.eigenface_count, bundle.subspace.dim)
+    dim = bundle.subspace.dim
+    count = min(cfg.eigenface_count, dim) if args.count is None else args.count
+    if not 1 <= count <= dim:
+        raise DataError(f"--count {count} outside [1, {dim}]")
     paths = export_eigenfaces(bundle.subspace, bundle.layout, count,
                               Path(cfg.output_dir) / "eigenfaces")
     print(f"wrote {len(paths)} eigenface images")
@@ -144,6 +140,8 @@ def _cmd_export_eigenfaces(args):
 
 def _cmd_export_quantized(args):
     cfg = _build_config(args)
+    if args.count < 1:
+        raise DataError(f"--count {args.count} must be at least 1")
     bundle = load_model(args.model)
     prepared = prepare(cfg)
     spec = QuantizerSpec(bounds=bundle.bounds, levels=bundle.levels)
@@ -180,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("prepare", help="ingest, split, and cache spectra")
+    sp = sub.add_parser("prepare", help="ingest and split; writes OUTPUT_DIR/splits/")
     _add_common(sp)
     sp.set_defaults(func=_cmd_prepare)
 
@@ -206,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("export-eigenfaces", help="render leading directions as images")
     _add_common(sp)
     sp.add_argument("--model", required=True)
-    sp.add_argument("--count", type=int, default=0, help="how many directions")
+    sp.add_argument("--count", type=int,
+                    help="how many directions (default: eigenface_count)")
     sp.set_defaults(func=_cmd_export_eigenfaces)
 
     sp = sub.add_parser("export-quantized", help="render quantized reconstructions")

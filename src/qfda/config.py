@@ -71,6 +71,12 @@ class ExperimentConfig:
             raise ValueError("max_train_samples must be at least 1")
         if self.images_per_class < 0:
             raise ValueError("images_per_class must be at least 0")
+        if not self.epsilon > 0:
+            raise ValueError(f"epsilon {self.epsilon!r} must be positive")
+        if self.eigenface_count < 1 or self.threads < 1:
+            raise ValueError("eigenface_count and threads must be at least 1")
+        if self.bootstrap_size < 0:
+            raise ValueError("bootstrap_size must be at least 0")
 
 
 _LIST_KEYS = {"classes": int, "gamma_grid": float, "lambda_grid": float}

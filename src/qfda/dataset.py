@@ -91,7 +91,6 @@ class CenteredImageSet:
     height: int
     width: int
     labels: np.ndarray
-    provenance: str = ""
 
 
 def _open_maybe_gzip(path):
@@ -379,14 +378,6 @@ def resample(dataset: RawImageSet, factor: float) -> RawImageSet:
         raise SizeError(
             f"resampled size {new_h}x{new_w} is smaller than one 8x8 block"
         )
-    if new_h == dataset.height and new_w == dataset.width:
-        return RawImageSet(
-            pixels=dataset.pixels.copy(),
-            height=dataset.height,
-            width=dataset.width,
-            labels=dataset.labels.copy(),
-        )
-
     images = dataset.pixels.T.reshape(dataset.n, dataset.height, dataset.width)
     resized = _bilinear_resize(images, new_h, new_w)
     return RawImageSet(
@@ -417,7 +408,7 @@ def _bilinear_resize(images, new_h, new_w):
         + rows[:, :, c1] * ct[None, None, :]
 
 
-def center(dataset: RawImageSet, mean_image=None, provenance="") -> CenteredImageSet:
+def center(dataset: RawImageSet, mean_image=None) -> CenteredImageSet:
     """Subtract the per-pixel mean image from every column.
 
     The mean is computed from ``dataset`` itself unless ``mean_image`` is
@@ -437,5 +428,4 @@ def center(dataset: RawImageSet, mean_image=None, provenance="") -> CenteredImag
         height=dataset.height,
         width=dataset.width,
         labels=dataset.labels.copy(),
-        provenance=provenance,
     )

@@ -192,10 +192,12 @@ def solve_subspace(pair: ScatterPair, p: int, epsilon: float) -> Subspace:
 def criterion(pair: ScatterPair, subspace: Subspace, q: int | None = None) -> float:
     """tr(U^T S_T U) / tr(U^T (S_W + eps I) U) over the first q directions.
 
-    Uses the shift the subspace was solved with, so the denominator is the
-    inner product the columns are normalized under (q, for an eigen-U).  The
-    scatter traces are taken in the pair's basis, with V = Q^T U against the
-    r x r scatters; only the shift term needs U itself.
+    Uses the shift the subspace was solved with.  The columns of an eigen-U
+    are normalized under |S_W| + eps I, not S_W + eps I, so the denominator
+    is q only when S_W is semidefinite, as for the plain scatters; for an
+    indefinite quantized S_W it is close to q but not equal.  The scatter
+    traces are taken in the pair's basis, with V = Q^T U against the r x r
+    scatters; only the shift term needs U itself.
     """
     u = subspace.u if q is None else subspace.u[:, :q]
     v = _in_basis(pair.basis, u)

@@ -172,9 +172,11 @@ def prepare(config: ExperimentConfig) -> PreparedData:
     )
     train_idx, val_idx, test_idx = split_indices(raw, spec)
     train_idx = _cap_train(train_idx, raw.labels, config.max_train_samples)
-    train_c = center(subset(raw, train_idx), provenance="train")
-    val_c = center(subset(raw, val_idx), mean_image=train_c.mean_image, provenance="val")
-    test_c = center(subset(raw, test_idx), mean_image=train_c.mean_image, provenance="test")
+    if config.k_nn > len(train_idx):
+        raise DataError(f"k_nn={config.k_nn} exceeds the {len(train_idx)} training images")
+    train_c = center(subset(raw, train_idx))
+    val_c = center(subset(raw, val_idx), mean_image=train_c.mean_image)
+    test_c = center(subset(raw, test_idx), mean_image=train_c.mean_image)
     return PreparedData(
         train=forward_dct(train_c),
         val=forward_dct(val_c),

@@ -59,9 +59,6 @@ class LevelVector:
             raise ValueError("level vector must have 64 entries")
         object.__setattr__(self, "m", m)
 
-    def key(self) -> tuple:
-        return tuple(int(v) for v in self.m)
-
     def to_line(self) -> str:
         return ",".join(str(int(v)) for v in self.m)
 

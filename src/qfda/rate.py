@@ -116,13 +116,3 @@ def rate(density: FrequencyDensity, spec: QuantizerSpec) -> RateReport:
         positive = masses[masses > 0.0]
         per_frequency[k] = -(positive * np.log2(positive)).sum()
     return RateReport(per_frequency=per_frequency, average=float(per_frequency.mean()))
-
-
-def rate_report_csv(report: RateReport, spec: QuantizerSpec) -> str:
-    """CSV text: one (k, m_k, bits) row per frequency plus an average row."""
-    lines = ["k,m,bits"]
-    for k in range(NUM_FREQUENCIES):
-        lines.append(
-            f"{k},{int(spec.levels.m[k])},{float(report.per_frequency[k])!r}")
-    lines.append(f"average,,{report.average!r}")
-    return "\n".join(lines) + "\n"

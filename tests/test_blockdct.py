@@ -7,13 +7,10 @@ from qfda.blockdct import (
     BlockLayout,
     SpectrumSet,
     forward_dct,
-    frequency_view,
     inverse_dct,
-    load_spectra,
-    save_spectra,
 )
 from qfda.dataset import CenteredImageSet
-from qfda.errors import ConsistencyError, FormatError
+from qfda.errors import ConsistencyError
 
 
 def centered(pixels, h, w, labels=None):
@@ -106,26 +103,6 @@ class TestForward:
         np.testing.assert_array_equal(spectra.labels, [2, 0, 1])
 
 
-class TestFrequencyView:
-    def test_gathers_one_frequency_across_blocks(self):
-        rng = np.random.default_rng(0)
-        pixels = rng.uniform(-1, 1, size=(256, 2))
-        spectra = forward_dct(centered(pixels, 16, 16))
-        k = 9
-        view = frequency_view(spectra, k)
-        manual = []
-        for i in range(2):
-            per_image = spectra.coeffs[:, i].reshape(4, 64)
-            manual.extend(per_image[:, k])
-        np.testing.assert_array_equal(view, manual)
-
-    def test_out_of_range(self):
-        pixels = np.zeros((64, 1))
-        spectra = forward_dct(centered(pixels, 8, 8))
-        with pytest.raises(IndexError):
-            frequency_view(spectra, 64)
-
-
 class TestSpectrumSet:
     def test_row_count_must_match_layout(self):
         layout = BlockLayout.for_image(8, 8)
@@ -140,22 +117,3 @@ class TestSpectrumSet:
         with pytest.raises(ConsistencyError):
             SpectrumSet(coeffs=bad, layout=layout,
                         labels=np.zeros(1, dtype=np.int64))
-
-
-class TestSpectraFile:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(5)
-        pixels = rng.uniform(-50, 50, size=(28 * 28, 4))
-        spectra = forward_dct(centered(pixels, 28, 28, labels=[0, 1, 1, 0]))
-        path = tmp_path / "s.spc"
-        save_spectra(spectra, path)
-        loaded = load_spectra(path)
-        np.testing.assert_array_equal(loaded.coeffs, spectra.coeffs)
-        np.testing.assert_array_equal(loaded.labels, spectra.labels)
-        assert loaded.layout == spectra.layout
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.spc"
-        path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(FormatError):
-            load_spectra(path)

@@ -4,7 +4,6 @@ import shutil
 import numpy as np
 import pytest
 
-from qfda.blockdct import load_spectra
 from qfda.cli import main
 from qfda.dataset import load_split_indices
 
@@ -50,10 +49,7 @@ class TestPrepareCommand:
         out = tmp_path / "prep"
         assert main(["prepare"] + base_args(idx_paths, out)) == 0
         assert "36/12/12" in capsys.readouterr().out
-        train = load_spectra(out / "cache" / "train.spc")
-        assert train.n == 36 and train.layout.d_prime == 256
-        mean = np.fromfile(out / "cache" / "mean.f64", dtype=np.float64)
-        assert mean.shape == (256,)
+        assert not (out / "cache").exists()
         idx = load_split_indices(out / "splits" / "val.txt")
         assert len(idx) == 12
 
@@ -163,7 +159,10 @@ class TestErrorPaths:
     @pytest.mark.parametrize("override", ["particles=0", "iterations=0",
                                           "resample_factor=2", "resample_factor=0",
                                           "max_train_samples=0",
-                                          "images_per_class=-1"])
+                                          "images_per_class=-1", "epsilon=-1",
+                                          "eigenface_count=0", "eigenface_count=-1",
+                                          "bootstrap_size=-1", "k_nn=100",
+                                          "threads=0", "threads=-2"])
     def test_out_of_range_config_value(self, idx_paths, override, tmp_path,
                                        capsys):
         code = main(["grid"] + base_args(idx_paths, tmp_path)
@@ -171,6 +170,29 @@ class TestErrorPaths:
         assert code == 1
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "grid.csv").exists()
+
+    def test_threads_flag_is_validated(self, idx_paths, tmp_path, capsys):
+        code = main(["grid"] + base_args(idx_paths, tmp_path) + ["--threads", "0"])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "grid.csv").exists()
+
+    def test_export_eigenfaces_count_defaults_to_config(self, idx_paths, model_dir,
+                                                        tmp_path):
+        code = main(["export-eigenfaces", "--model", str(model_dir / "model")]
+                    + base_args(idx_paths, tmp_path))
+        assert code == 0
+        assert len(list((tmp_path / "eigenfaces").glob("*.pgm"))) == 3  # eigenface_count
+
+    @pytest.mark.parametrize("command", ["export-eigenfaces", "export-quantized"])
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_export_count_below_one(self, idx_paths, model_dir, command, count,
+                                    tmp_path, capsys):
+        code = main([command, "--model", str(model_dir / "model"),
+                     "--count", count] + base_args(idx_paths, tmp_path))
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.pgm"))
 
     def test_too_few_training_images_for_max_dims(self, idx_paths, tmp_path,
                                                   capsys):

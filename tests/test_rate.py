@@ -18,7 +18,6 @@ from qfda.rate import (
     interval_masses,
     interval_partition,
     rate,
-    rate_report_csv,
     silverman_bandwidth,
 )
 
@@ -228,21 +227,3 @@ class TestDensityValidation:
         assert (np.diff(vals) >= 0).all()
         assert vals[0] == pytest.approx(0.0, abs=1e-12)
         assert vals[-1] == pytest.approx(1.0, abs=1e-12)
-
-
-class TestReportCsv:
-    def test_shape_and_average_row(self):
-        rng = np.random.default_rng(14)
-        density = flat_density(rng.normal(0, 3, size=20))
-        spec = uniform_spec(7, 3)
-        report = rate(density, spec)
-        text = rate_report_csv(report, spec)
-        lines = text.strip().split("\n")
-        assert lines[0] == "k,m,bits"
-        assert len(lines) == 66
-        k, m, bits = lines[1].split(",")
-        assert (k, m) == ("0", "3")
-        assert float(bits) == report.per_frequency[0]
-        avg = lines[-1].split(",")
-        assert avg[0] == "average"
-        assert float(avg[2]) == report.average
