@@ -7,6 +7,7 @@ are rejected rather than silently dropped.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass, field, fields
 
 from .errors import FormatError
@@ -71,8 +72,16 @@ class ExperimentConfig:
             raise ValueError("max_train_samples must be at least 1")
         if self.images_per_class < 0:
             raise ValueError("images_per_class must be at least 0")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon {self.epsilon!r} must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon {self.epsilon!r} must be positive and finite")
+        if not all(map(math.isfinite, (self.inertia, self.cognitive, self.social))):
+            raise ValueError("inertia, cognitive and social must be finite")
+        if not all(0 <= g < math.inf for g in self.gamma_grid):
+            raise ValueError(f"gamma_grid {self.gamma_grid!r} must be finite and >= 0")
+        if not all(map(math.isfinite, self.lambda_grid)):
+            raise ValueError(f"lambda_grid {self.lambda_grid!r} must be finite")
+        if min(self.split_seed, self.pso_seed, self.bootstrap_seed) < 0:
+            raise ValueError("split_seed, pso_seed and bootstrap_seed must be at least 0")
         if self.eigenface_count < 1 or self.threads < 1:
             raise ValueError("eigenface_count and threads must be at least 1")
         if self.bootstrap_size < 0:

@@ -8,9 +8,13 @@ the per-frequency rate is the interval entropy
     r_k = -sum_t p_t log2 p_t        (0 log 0 = 0)
 
 averaged over the 64 frequencies to a single scalar.
+
+r_k depends only on (ell_k, m_k) and on the density, which is fitted once
+per run, so each term is computed once and stored on the density under
+(k, ell_k, m_k); every later evaluation, in any thread, reads it back.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
@@ -24,12 +28,18 @@ BANDWIDTH_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class FrequencyDensity:
-    """Gaussian-KDE model per frequency: sample points plus bandwidths."""
+    """Gaussian-KDE model per frequency: sample points plus bandwidths.
+
+    `rates` holds every r_k computed so far, keyed by (k, ell_k, m_k), for
+    the life of the density; `samples` and `bandwidth` must therefore not
+    be changed after fitting.
+    """
 
     samples: np.ndarray    # (64, N) pooled coefficients, image-major order
     bandwidth: np.ndarray  # (64,) positive reals
     seed: int
     s: int
+    rates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.samples.ndim != 2 or self.samples.shape[0] != NUM_FREQUENCIES:
@@ -109,10 +119,18 @@ def interval_masses(density: FrequencyDensity, spec: QuantizerSpec, k: int):
 
 
 def rate(density: FrequencyDensity, spec: QuantizerSpec) -> RateReport:
-    """Entropy rate of every frequency under the given quantizer."""
+    """Entropy rate of every frequency under the given quantizer.
+
+    Terms missing from `density.rates` are computed and stored.  Two threads
+    that miss the same key compute the same bits, so no lock is taken.
+    """
     per_frequency = np.empty(NUM_FREQUENCIES)
     for k in range(NUM_FREQUENCIES):
-        masses, _ = interval_masses(density, spec, k)
-        positive = masses[masses > 0.0]
-        per_frequency[k] = -(positive * np.log2(positive)).sum()
+        key = (k, int(spec.bounds.ell[k]), int(spec.levels.m[k]))
+        r_k = density.rates.get(key)
+        if r_k is None:
+            masses, _ = interval_masses(density, spec, k)
+            positive = masses[masses > 0.0]
+            r_k = density.rates[key] = -(positive * np.log2(positive)).sum()
+        per_frequency[k] = r_k
     return RateReport(per_frequency=per_frequency, average=float(per_frequency.mean()))

@@ -162,7 +162,12 @@ class TestErrorPaths:
                                           "images_per_class=-1", "epsilon=-1",
                                           "eigenface_count=0", "eigenface_count=-1",
                                           "bootstrap_size=-1", "k_nn=100",
-                                          "threads=0", "threads=-2"])
+                                          "threads=0", "threads=-2",
+                                          "split_seed=-1", "bootstrap_seed=-1",
+                                          "pso_seed=-1", "inertia=nan",
+                                          "cognitive=inf", "social=-inf",
+                                          "epsilon=inf", "gamma_grid=-5",
+                                          "gamma_grid=0.1,nan", "lambda_grid=inf"])
     def test_out_of_range_config_value(self, idx_paths, override, tmp_path,
                                        capsys):
         code = main(["grid"] + base_args(idx_paths, tmp_path)
@@ -173,6 +178,12 @@ class TestErrorPaths:
 
     def test_threads_flag_is_validated(self, idx_paths, tmp_path, capsys):
         code = main(["grid"] + base_args(idx_paths, tmp_path) + ["--threads", "0"])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "grid.csv").exists()
+
+    def test_negative_seed_flag_is_validated(self, idx_paths, tmp_path, capsys):
+        code = main(["grid"] + base_args(idx_paths, tmp_path) + ["--seed", "-1"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "grid.csv").exists()

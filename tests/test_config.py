@@ -98,3 +98,6 @@ class TestValidation:
     def test_swarm_coefficients_render_unchanged(self):
         assert ("inertia = 0.7298\ncognitive = 1.49618\nsocial = 1.49618\n"
                 in config_text(ExperimentConfig()))
+
+    def test_zero_gamma_accepted(self):
+        assert parse_config_text("gamma_grid = 0, 1\n").gamma_grid == [0.0, 1.0]

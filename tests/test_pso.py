@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -23,8 +25,7 @@ from qfda.rate import fit_density, rate
 from helpers import gaussian_class_spectra
 
 
-@pytest.fixture(scope="module")
-def ctx():
+def make_ctx():
     x, labels = gaussian_class_spectra(n_per_class=20, separation=4.0, seed=1)
     spectra = SpectrumSet(coeffs=x * 5.0, layout=BlockLayout.for_image(8, 8),
                           labels=labels)
@@ -32,6 +33,11 @@ def ctx():
     density = fit_density(spectra, s=15, seed=0)
     return CostContext(spectra=spectra, bounds=bounds, density=density,
                        epsilon=1e-7, subspace_dim=5)
+
+
+@pytest.fixture(scope="module")
+def ctx():
+    return make_ctx()
 
 
 class TestEvaluateCost:
@@ -181,3 +187,26 @@ class TestRunPso:
         result = run_pso(ctx, config)
         assert [(r, p) for r, p, _, _ in result.trace] == [
             (r, p) for r in range(1, 5) for p in range(3)]
+
+
+class TestSharedRateTable:
+    # fresh contexts: the module fixture's density carries a warm rate table
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_pool_shares_table_without_changing_results(self, threads):
+        config = PsoConfig(gamma=0.3, lam=0.5, particles=6, iterations=3, seed=4)
+        serial_ctx, pool_ctx = make_ctx(), make_ctx()
+        a = run_pso(serial_ctx, config, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            b = run_pso(pool_ctx, config, threads=threads)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(a.best.m, b.best.m)
+        np.testing.assert_array_equal(a.history, b.history)
+        assert a.trace == b.trace
+        assert a.breakdown == b.breakdown
+        serial, pooled = serial_ctx.density.rates, pool_ctx.density.rates
+        assert serial.keys() == pooled.keys()
+        assert all(np.float64(serial[key]).tobytes() == np.float64(pooled[key]).tobytes()
+                   for key in serial)

@@ -150,6 +150,61 @@ class TestRate:
         np.testing.assert_allclose(report.per_frequency, 0.0, atol=1e-9)
 
 
+def spec_of(ell, m):
+    return QuantizerSpec(bounds=BoundVector(ell=np.asarray(ell, dtype=np.int64)),
+                         levels=LevelVector(m=np.asarray(m, dtype=np.int64)))
+
+
+def report_bytes(report):
+    return report.per_frequency.tobytes(), np.float64(report.average).tobytes()
+
+
+class TestRateTable:
+    """r_k is stored on the density under (k, ell_k, m_k)."""
+
+    samples = np.random.default_rng(14).normal(0, 3, size=35)
+
+    def specs(self):
+        k = np.arange(64)
+        ell = 6 + k % 5
+        return [spec_of(ell, 2 + k % 3), spec_of(ell, 2 + (k + 1) % 3),
+                spec_of(ell, 2 + k % 3), spec_of(ell, np.full(64, 3))]
+
+    def test_warm_table_gives_cold_bytes(self):
+        warm = flat_density(self.samples, bandwidth=0.9)
+        for spec in self.specs():
+            cold = rate(flat_density(self.samples, bandwidth=0.9), spec)
+            for _ in range(2):  # the first call may fill, the second only reads
+                assert report_bytes(rate(warm, spec)) == report_bytes(cold)
+
+    def test_each_term_computed_once(self, monkeypatch):
+        calls = []
+        original = interval_masses
+
+        def counting(density, spec, k):
+            calls.append((k, int(spec.bounds.ell[k]), int(spec.levels.m[k])))
+            return original(density, spec, k)
+
+        monkeypatch.setattr("qfda.rate.interval_masses", counting)
+        density = flat_density(self.samples, bandwidth=0.9)
+        specs = self.specs()
+        for spec in specs + specs:
+            rate(density, spec)
+        distinct = {(k, int(s.bounds.ell[k]), int(s.levels.m[k]))
+                    for s in specs for k in range(64)}
+        assert len(calls) == len(set(calls)) == len(distinct) < 64 * len(specs)
+        assert set(calls) == distinct == set(density.rates)
+
+    def test_bound_is_part_of_the_key(self):
+        shared = flat_density(self.samples, bandwidth=0.9)
+        for ell in (7, 9):
+            spec = uniform_spec(ell, 5)
+            cold = rate(flat_density(self.samples, bandwidth=0.9), spec)
+            assert report_bytes(rate(shared, spec)) == report_bytes(cold)
+        assert rate(shared, uniform_spec(7, 5)).average != \
+            rate(shared, uniform_spec(9, 5)).average
+
+
 class TestSilverman:
     def test_hand_computed_row(self):
         samples = np.array([[0.0, 1.0, 2.0, 3.0, 4.0]])
