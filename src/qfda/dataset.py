@@ -100,12 +100,15 @@ def _open_maybe_gzip(path):
     return open(path, "rb")
 
 
-def _read_idx_header(f, expected_magic, path):
-    magic = struct.unpack(">I", f.read(4))[0]
+def _read_idx_header(f, expected_magic, path, sizes):
+    """Check an IDX file's magic and return the `sizes` fields that follow it."""
+    header = f.read(4 * (1 + sizes))
+    if len(header) != 4 * (1 + sizes):
+        raise FormatError(f"{path}: truncated IDX header")
+    magic, *fields = struct.unpack(f">{1 + sizes}I", header)
     if magic != expected_magic:
-        raise FormatError(
-            f"{path}: IDX magic 0x{magic:08x}, expected 0x{expected_magic:08x}"
-        )
+        raise FormatError(f"{path}: IDX magic 0x{magic:08x}, expected 0x{expected_magic:08x}")
+    return fields
 
 
 def default_idx_labels_path(images_path) -> Path:
@@ -137,16 +140,14 @@ def load_idx(images_path, labels_path=None) -> RawImageSet:
         labels_path = default_idx_labels_path(images_path)
 
     with _open_maybe_gzip(images_path) as f:
-        _read_idx_header(f, IDX_IMAGE_MAGIC, images_path)
-        count, rows, cols = struct.unpack(">III", f.read(12))
+        count, rows, cols = _read_idx_header(f, IDX_IMAGE_MAGIC, images_path, 3)
         data = f.read(count * rows * cols)
         if len(data) != count * rows * cols:
             raise ConsistencyError(f"{images_path}: truncated pixel data")
         images = np.frombuffer(data, dtype=np.uint8).reshape(count, rows * cols)
 
     with _open_maybe_gzip(labels_path) as f:
-        _read_idx_header(f, IDX_LABEL_MAGIC, labels_path)
-        label_count = struct.unpack(">I", f.read(4))[0]
+        (label_count,) = _read_idx_header(f, IDX_LABEL_MAGIC, labels_path, 1)
         labels = np.frombuffer(f.read(label_count), dtype=np.uint8)
         if labels.size != label_count:
             raise ConsistencyError(f"{labels_path}: truncated label data")
@@ -195,12 +196,12 @@ def read_pgm(path) -> np.ndarray:
         start = pos
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
-        if start == pos:
-            raise FormatError(f"{path}: truncated PGM header")
-        tokens.append(data[start:pos])
+        if not data[start:pos].isdigit():
+            raise FormatError(f"{path}: PGM header needs three decimal integers")
+        tokens.append(int(data[start:pos]))
     pos += 1  # single whitespace byte separates header from raster
 
-    width, height, maxval = (int(t) for t in tokens)
+    width, height, maxval = tokens
     if maxval > 255:
         raise FormatError(f"{path}: 16-bit PGM (maxval={maxval}) not supported")
     raster = data[pos:pos + width * height]
@@ -228,10 +229,11 @@ def parse_class_map(path) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise FormatError(f"class map line without '=': {raw!r}")
-        name, value = (part.strip() for part in line.split("=", 1))
-        mapping[name] = int(value)
+        name, _, value = line.partition("=")
+        try:
+            mapping[name.strip()] = int(value)
+        except ValueError:
+            raise FormatError(f"{path}: class map line {raw!r} is not 'name = id'") from None
     return mapping
 
 

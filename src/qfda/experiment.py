@@ -357,8 +357,9 @@ def export_quantized_images(
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     count = min(count, spectra.n)
-    centered = inverse_dct(spectra)
-    quantized = inverse_dct(quantize(spectra, spec))
+    head = SpectrumSet(spectra.coeffs[:, :count], spectra.layout, spectra.labels[:count])
+    centered = inverse_dct(head)
+    quantized = inverse_dct(quantize(head, spec))
     h, w = centered.height, centered.width
     paths = []
     for i in range(count):

@@ -8,6 +8,7 @@ identical bytes.
 """
 
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from .blockdct import BlockLayout
 from .discriminant import Subspace, load_subspace, save_subspace
 from .errors import FormatError
 from .pso import CostBreakdown
-from .quantizer import BoundVector, LevelVector, vector_from_line
+from .quantizer import BoundVector, LevelVector, QuantizerSpec, vector_from_line
 
 MODEL_FILE = "model.json"
 SUBSPACE_FILE = "subspace.bin"
@@ -60,6 +61,14 @@ def save_model(directory, bundle: ModelBundle) -> Path:
     return path
 
 
+def _parsed(payload, key, parse):
+    """parse(payload[key]); a value it rejects raises a FormatError naming key."""
+    try:
+        return parse(payload[key])
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise FormatError(f"model file has a bad {key!r}: {exc}") from exc
+
+
 def load_model(directory) -> ModelBundle:
     directory = Path(directory)
     try:
@@ -72,19 +81,19 @@ def load_model(directory) -> ModelBundle:
         if key not in payload:
             raise FormatError(f"model file is missing {key!r}")
     subspace = load_subspace(directory / payload["subspace_file"])
-    layout = BlockLayout(
-        height=payload["height"],
-        width=payload["width"],
-        padded_height=payload["padded_height"],
-        padded_width=payload["padded_width"],
-    )
+    layout = BlockLayout(**{key: _parsed(payload, key, operator.index) for key in
+                            ("height", "width", "padded_height", "padded_width")})
+    bounds = _parsed(payload, "bounds", lambda line: BoundVector(
+        ell=vector_from_line(line),
+        bootstrap_seed=payload.get("bootstrap_seed", 0),
+        bootstrap_size=payload.get("bootstrap_size", 0),
+    ))
+    # the spec rejects any m_k outside [2, ell_k]
+    levels = _parsed(payload, "levels", lambda line: QuantizerSpec(
+        bounds, LevelVector(m=vector_from_line(line))).levels)
     return ModelBundle(
-        bounds=BoundVector(
-            ell=vector_from_line(payload["bounds"]),
-            bootstrap_seed=payload.get("bootstrap_seed", 0),
-            bootstrap_size=payload.get("bootstrap_size", 0),
-        ),
-        levels=LevelVector(m=vector_from_line(payload["levels"])),
+        bounds=bounds,
+        levels=levels,
         subspace=subspace,
         layout=layout,
         gamma=payload["gamma"],

@@ -9,6 +9,10 @@ of a level vector m is
 where f_Q is the Fisher criterion of the quantized subspace and rbar the
 average entropy rate.  Evaluations are cached by snapped vector, so a
 swarm round costs at most one eigensolve per distinct snapped position.
+
+New vectors are scored in first-appearance order by one map per round: a
+thread pool opened once per search, or the calling thread when threads=1.
+Costs are reduced by particle index, so results do not depend on scheduling.
 """
 
 import concurrent.futures
@@ -85,32 +89,6 @@ class PsoResult:
     evaluations: int = 0
 
 
-def _evaluate_round(positions, ctx, config, cache, threads):
-    """Snap every particle, evaluate unseen vectors, return per-particle costs.
-
-    New vectors are evaluated in first-appearance order and reduced by
-    particle index, so results do not depend on thread scheduling.
-    """
-    keys = [project_levels(x, ctx.bounds).m.tobytes() for x in positions]
-    fresh = []
-    seen = set()
-    for key in keys:
-        if key not in cache and key not in seen:
-            seen.add(key)
-            fresh.append((key, np.frombuffer(key, dtype=np.int64)))
-    if threads > 1 and len(fresh) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda km: evaluate_cost(km[1], ctx, config.gamma, config.lam), fresh)
-            )
-        for (key, _), breakdown in zip(fresh, results):
-            cache[key] = breakdown
-    else:
-        for key, m in fresh:
-            cache[key] = evaluate_cost(m, ctx, config.gamma, config.lam)
-    return keys, [cache[key] for key in keys]
-
-
 def run_pso(ctx: CostContext, config: PsoConfig, threads: int = 1) -> PsoResult:
     """Minimize the quantizer cost with a global-best swarm.
 
@@ -133,28 +111,36 @@ def run_pso(ctx: CostContext, config: PsoConfig, threads: int = 1) -> PsoResult:
     history = np.empty(config.iterations)
     trace = []
 
-    for round_idx in range(config.iterations):
-        if round_idx > 0:
-            r1 = rng.random((n, dims))
-            r2 = rng.random((n, dims))
-            velocities = (
-                config.inertia * velocities
-                + config.cognitive * r1 * (pbest_x - positions)
-                + config.social * r2 * (gbest_x - positions)
-            )
-            positions = positions + velocities
-        keys, costs = _evaluate_round(positions, ctx, config, cache, threads)
-        for i in range(n):
-            total = costs[i].total
-            if total < pbest_cost[i]:
-                pbest_cost[i] = total
-                pbest_x[i] = positions[i]
-            if total < gbest_cost:
-                gbest_cost = total
-                gbest_x = positions[i].copy()
-                gbest_key = keys[i]
-            trace.append((round_idx + 1, i, total, gbest_cost))
-        history[round_idx] = gbest_cost
+    def score(key):
+        return evaluate_cost(np.frombuffer(key, dtype=np.int64), ctx, config.gamma, config.lam)
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        # threads == 1 stays on the calling thread: a pool worker would add ~5 MB of peak RSS
+        evaluate = map if threads == 1 else pool.map
+        for round_idx in range(config.iterations):
+            if round_idx > 0:
+                r1 = rng.random((n, dims))
+                r2 = rng.random((n, dims))
+                velocities = (
+                    config.inertia * velocities
+                    + config.cognitive * r1 * (pbest_x - positions)
+                    + config.social * r2 * (gbest_x - positions)
+                )
+                positions = positions + velocities
+            keys = [project_levels(x, ctx.bounds).m.tobytes() for x in positions]
+            fresh = list(dict.fromkeys(k for k in keys if k not in cache))
+            cache.update(zip(fresh, evaluate(score, fresh)))
+            for i in range(n):
+                total = cache[keys[i]].total
+                if total < pbest_cost[i]:
+                    pbest_cost[i] = total
+                    pbest_x[i] = positions[i]
+                if total < gbest_cost:
+                    gbest_cost = total
+                    gbest_x = positions[i].copy()
+                    gbest_key = keys[i]
+                trace.append((round_idx + 1, i, total, gbest_cost))
+            history[round_idx] = gbest_cost
 
     if gbest_key is None or not np.isfinite(gbest_cost):
         raise OptimizationError("every cost evaluation failed")

@@ -135,6 +135,15 @@ class TestErrorPaths:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_truncated_dataset_header(self, tmp_path, capsys):
+        bad = tmp_path / "cut-images-idx3-ubyte"
+        bad.write_bytes(b"\x00\x00\x08\x03\x00\x00")
+        code = main(["prepare", "--set", f"dataset_path={bad}",
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and str(bad) in err
+
     def test_config_file_and_overrides_compose(self, idx_paths, tmp_path,
                                                capsys):
         cfg = tmp_path / "run.cfg"
@@ -234,3 +243,27 @@ class TestDamagedModel:
                      "--output-dir", str(tmp_path / "out")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("levels", "a,b"), ("bounds", "3,4"), ("height", "x"),
+    ("levels", ",".join(["1"] * 64)), ("levels", "ell+1")],
+    ids=["levels-not-integers", "bounds-2-entries", "height-string",
+         "levels-below-2", "levels-above-ell"])
+def test_damaged_model_value_exits_1(idx_paths, model_dir, tmp_path, key, value,
+                                     capsys):
+    model = tmp_path / "model"
+    shutil.copytree(model_dir / "model", model)
+    payload = json.loads((model / "model.json").read_text())
+    if value == "ell+1":
+        ell = [int(v) for v in payload["bounds"].split(",")]
+        levels = [int(v) for v in payload["levels"].split(",")]
+        levels[0] = ell[0] + 1
+        value = ",".join(str(v) for v in levels)
+    payload[key] = value
+    (model / "model.json").write_text(json.dumps(payload))
+    code = main(["evaluate", "--model", str(model)] + base_args(idx_paths, tmp_path / "out"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and repr(key) in err
+    assert not (tmp_path / "out").exists()

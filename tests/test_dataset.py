@@ -1,4 +1,5 @@
 import gzip
+import re
 import shutil
 
 import numpy as np
@@ -113,6 +114,16 @@ class TestIdxFiles:
         with pytest.raises(ConsistencyError):
             load_idx(ip, lp)
 
+    @pytest.mark.parametrize("name, keep", [("images", 2), ("images", 10), ("labels", 6)])
+    def test_truncated_header(self, tmp_path, name, keep):
+        # keep: header bytes left, cutting into the magic, the sizes or the count
+        paths = {"images": tmp_path / "g-images-idx3-ubyte",
+                 "labels": tmp_path / "g-labels-idx1-ubyte"}
+        write_idx(small_set(), paths["images"], paths["labels"])
+        paths[name].write_bytes(paths[name].read_bytes()[:keep])
+        with pytest.raises(FormatError, match=re.escape(str(paths[name]))):
+            load_idx(paths["images"], paths["labels"])
+
     def test_label_count_disagrees(self, tmp_path):
         ds = small_set()
         ip, lp = tmp_path / "e-images-idx3-ubyte", tmp_path / "e-labels-idx1-ubyte"
@@ -151,6 +162,12 @@ class TestPgm:
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n2 2\n255\n\x00\x01")
         with pytest.raises(FormatError):
+            read_pgm(path)
+
+    def test_non_numeric_header_token(self, tmp_path):
+        path = tmp_path / "n.pgm"
+        path.write_bytes(b"P5\n2 two\n255\n\x00\x01\x02\x03")
+        with pytest.raises(FormatError, match=re.escape(str(path))):
             read_pgm(path)
 
 
@@ -194,6 +211,12 @@ class TestPgmDir:
         bad = tmp_path / "map.txt"
         bad.write_text("glasses 1\n")
         with pytest.raises(FormatError):
+            parse_class_map(bad)
+
+    def test_non_integer_class_id(self, tmp_path):
+        bad = tmp_path / "map.txt"
+        bad.write_text("glasses = one\n")
+        with pytest.raises(FormatError, match=re.escape(str(bad))):
             parse_class_map(bad)
 
 

@@ -1,11 +1,13 @@
+import dataclasses
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 from qfda.blockdct import BlockLayout, SpectrumSet
 from qfda.discriminant import criterion, quantized_scatters, solve_subspace
-from qfda.errors import OptimizationError
+from qfda.errors import DataError, OptimizationError
 from qfda.pso import (
     CostBreakdown,
     CostContext,
@@ -14,6 +16,7 @@ from qfda.pso import (
     run_pso,
 )
 from qfda.quantizer import (
+    BoundVector,
     LevelVector,
     QuantizerSpec,
     estimate_bounds,
@@ -210,3 +213,49 @@ class TestSharedRateTable:
         assert serial.keys() == pooled.keys()
         assert all(np.float64(serial[key]).tobytes() == np.float64(pooled[key]).tobytes()
                    for key in serial)
+
+
+def recording_cost(record, lock):
+    """A fake evaluate_cost that notes (level vector, thread) under a lock."""
+    def fake(m, ctx, gamma, lam):
+        with lock:
+            record.append((m.tobytes(), threading.get_ident()))
+        return CostBreakdown(criterion=0.0, rate=0.0, total=float(m.sum()))
+    return fake
+
+
+class TestSingleRoundPath:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_repeat_within_round_evaluated_once(self, ctx, monkeypatch, threads):
+        # ell = 3 at k = 0 and 2 elsewhere: six particles snap to at most two
+        # vectors, so the one round repeats a vector
+        narrow = dataclasses.replace(
+            ctx, bounds=BoundVector(ell=np.r_[3, np.full(63, 2)]))
+        record, lock = [], threading.Lock()
+        monkeypatch.setattr("qfda.pso.evaluate_cost", recording_cost(record, lock))
+        config = PsoConfig(gamma=0.1, lam=0.5, particles=6, iterations=1, seed=8)
+        result = run_pso(narrow, config, threads=threads)
+
+        rng = np.random.default_rng(8)
+        positions = rng.uniform(2.0, narrow.bounds.ell.astype(np.float64), size=(6, 64))
+        keys = [project_levels(x, narrow.bounds).m.tobytes() for x in positions]
+        assert len(set(keys)) < len(keys)
+        assert sorted(key for key, _ in record) == sorted(set(keys))
+        assert result.evaluations == len(set(keys))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_evaluation_error_keeps_its_type(self, ctx, monkeypatch, threads):
+        def failing(m, c, g, l):
+            raise DataError("degenerate data")
+        monkeypatch.setattr("qfda.pso.evaluate_cost", failing)
+        config = PsoConfig(gamma=0.1, lam=0.5, particles=3, iterations=2, seed=1)
+        with pytest.raises(DataError, match="degenerate data"):
+            run_pso(ctx, config, threads=threads)
+
+    def test_one_thread_evaluates_on_calling_thread(self, ctx, monkeypatch):
+        record, lock = [], threading.Lock()
+        monkeypatch.setattr("qfda.pso.evaluate_cost", recording_cost(record, lock))
+        config = PsoConfig(gamma=0.1, lam=0.5, particles=4, iterations=3, seed=2)
+        result = run_pso(ctx, config, threads=1)
+        assert len(record) == result.evaluations > 1
+        assert {thread for _, thread in record} == {threading.get_ident()}
