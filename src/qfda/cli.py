@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .config import ExperimentConfig, apply_overrides, load_config
-from .errors import DataError, FormatError, QfdaError
+from .errors import ConsistencyError, DataError, FormatError, QfdaError
 from .experiment import (
     SPLITS,
     cost_context,
@@ -115,15 +115,19 @@ def _write_and_print(cfg, method, reports):
 
 def _cmd_baseline(args):
     cfg = _build_config(args)
-    _, reports = run_baseline_fda(prepare(cfg), cfg)
-    _write_and_print(cfg, "fda", reports)
+    _write_and_print(cfg, "fda", run_baseline_fda(prepare(cfg), cfg))
 
 
 def _cmd_evaluate(args):
     cfg = _build_config(args)
     bundle = load_model(args.model)
+    prepared = prepare(cfg)
+    model, data = bundle.layout, prepared.layout
+    if model != data:
+        raise ConsistencyError(f"model was trained on {model.height}x{model.width} images, "
+                               f"the dataset has {data.height}x{data.width}")
     spec = QuantizerSpec(bounds=bundle.bounds, levels=bundle.levels)
-    _write_and_print(cfg, "qfda", quantized_reports(bundle.subspace, spec, prepare(cfg), cfg))
+    _write_and_print(cfg, "qfda", quantized_reports(bundle.subspace, spec, prepared, cfg))
 
 
 def _cmd_export_eigenfaces(args):

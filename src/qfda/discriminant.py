@@ -208,24 +208,6 @@ def criterion(pair: ScatterPair, subspace: Subspace, q: int | None = None) -> fl
     return float(num / den)
 
 
-@dataclass
-class Projection:
-    """Sample coordinates in a discriminant subspace."""
-
-    coords: np.ndarray  # (q, n)
-    labels: np.ndarray
-
-
-def project(spectra: SpectrumSet, subspace: Subspace, q: int | None = None) -> Projection:
-    """Coordinates of every sample along the first q directions."""
-    if q is None:
-        q = subspace.dim
-    if not 1 <= q <= subspace.dim:
-        raise ValueError(f"cannot take {q} of {subspace.dim} directions")
-    u = subspace.u[:, :q]
-    return Projection(coords=u.T @ spectra.coeffs, labels=spectra.labels.copy())
-
-
 def save_subspace(path, subspace: Subspace) -> None:
     """Binary layout: magic, d', p, epsilon, column-major U, eigenvalues."""
     d, p = subspace.u.shape

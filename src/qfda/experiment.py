@@ -3,9 +3,11 @@
 The pipeline mirrors the deployment story: images are centered with the
 training mean, block-DCT transformed, and (for the quantized method) run
 through the optimized per-frequency quantizer.  Classification quality is
-10-NN error averaged over subspaces of 1..max_dims leading directions,
-reported as mean and population standard deviation.  The quantized method
-embeds the quantized spectra; the baseline embeds the original spectra.
+k-NN error (k = k_nn) averaged over subspaces of 1..max_dims leading
+directions, reported as mean and population standard deviation; one sweep
+over the directions scores every subspace of a split.  The quantized
+method embeds the quantized spectra; the baseline embeds the original
+spectra.
 """
 
 import warnings
@@ -31,10 +33,8 @@ from .dataset import (
     write_pgm,
 )
 from .discriminant import (
-    Projection,
     Subspace,
     plain_scatters,
-    project,
     quantized_scatters,  # unused here; perfbench's tracer looks it up in this module
     solve_subspace,
 )
@@ -53,47 +53,52 @@ from .rate import fit_density
 SPLITS = ("train", "val", "test")
 
 
-def knn_error(train_proj: Projection, eval_proj: Projection, k: int) -> float:
-    """Misclassification fraction of Euclidean k-NN majority vote.
+def knn_error(
+    train_coords: np.ndarray,
+    train_labels: np.ndarray,
+    eval_coords: np.ndarray,
+    eval_labels: np.ndarray,
+    k: int,
+) -> np.ndarray:
+    """Misclassification fraction of Euclidean k-NN majority vote, per q.
 
-    Distance ties resolve to the smaller training index (stable sort) and
-    vote ties to the smaller class id, so repeated runs agree exactly.
+    Entry q - 1 scores the first q rows (directions) of the (rows, n)
+    coordinate arrays.  Squared distances are accumulated one direction at
+    a time, so memory stays at one (eval, train) array.  Distance ties
+    resolve to the smaller training index (stable sort) and vote ties to
+    the smaller class id, so repeated runs agree exactly.
     """
-    if eval_proj.coords.shape[1] == 0:
+    if eval_coords.shape[1] == 0:
         raise DataError("cannot evaluate on an empty set")
-    if train_proj.coords.shape[0] != eval_proj.coords.shape[0]:
-        raise ConsistencyError("projections have different dimensionality")
-    n_train = train_proj.coords.shape[1]
+    if train_coords.shape[0] != eval_coords.shape[0]:
+        raise ConsistencyError("coordinates have different dimensionality")
+    n_train = train_coords.shape[1]
     if not 1 <= k <= n_train:
         raise ValueError(f"k={k} outside [1, {n_train}]")
-    diff = eval_proj.coords[:, :, None] - train_proj.coords[:, None, :]
-    d2 = np.einsum("qet,qet->et", diff, diff)
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    votes = train_proj.labels[order]
-    predicted = np.array([np.bincount(row).argmax() for row in votes])
-    return float(np.mean(predicted != eval_proj.labels))
+    d2 = np.zeros((eval_coords.shape[1], n_train))
+    errors = np.empty(train_coords.shape[0])
+    for q, (train_row, eval_row) in enumerate(zip(train_coords, eval_coords)):
+        diff = eval_row[:, None] - train_row[None, :]
+        d2 += diff * diff
+        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        votes = train_labels[order]
+        predicted = np.array([np.bincount(row).argmax() for row in votes])
+        errors[q] = np.mean(predicted != eval_labels)
+    return errors
 
 
 @dataclass
 class EvalReport:
     """k-NN error over leading-direction counts q = 1..len(per_dim_errors)."""
 
-    method: str   # "fda" or "qfda"
-    split: str    # "train", "val", "test"
     per_dim_errors: np.ndarray
     mean: float
     std: float
 
     @classmethod
-    def from_errors(cls, method, split, errors) -> "EvalReport":
+    def from_errors(cls, errors) -> "EvalReport":
         errors = np.asarray(errors, dtype=np.float64)
-        return cls(
-            method=method,
-            split=split,
-            per_dim_errors=errors,
-            mean=float(errors.mean()),
-            std=float(errors.std()),
-        )
+        return cls(per_dim_errors=errors, mean=float(errors.mean()), std=float(errors.std()))
 
 
 def evaluate_subspace(
@@ -101,19 +106,12 @@ def evaluate_subspace(
     train: SpectrumSet,
     eval_set: SpectrumSet,
     config: ExperimentConfig,
-    method: str,
-    split: str,
 ) -> EvalReport:
     """k-NN error for every leading-direction count up to max_dims."""
-    q_max = min(config.max_dims, subspace.dim)
-    train_full = project(train, subspace, q_max)
-    eval_full = project(eval_set, subspace, q_max)
-    errors = []
-    for q in range(1, q_max + 1):
-        tp = Projection(coords=train_full.coords[:q], labels=train_full.labels)
-        ep = Projection(coords=eval_full.coords[:q], labels=eval_full.labels)
-        errors.append(knn_error(tp, ep, config.k_nn))
-    return EvalReport.from_errors(method, split, errors)
+    u = subspace.u[:, :min(config.max_dims, subspace.dim)]
+    return EvalReport.from_errors(knn_error(u.T @ train.coeffs, train.labels,
+                                            u.T @ eval_set.coeffs, eval_set.labels,
+                                            config.k_nn))
 
 
 @dataclass
@@ -196,12 +194,10 @@ def run_baseline_fda(prepared: PreparedData, config: ExperimentConfig):
     """Plain discriminant subspace on non-quantized spectra, all splits."""
     pair = plain_scatters(prepared.train)
     sub = solve_subspace(pair, _subspace_dim(config, prepared), config.epsilon)
-    reports = {
-        split: evaluate_subspace(sub, prepared.train, getattr(prepared, split), config,
-                                 "fda", split)
+    return {
+        split: evaluate_subspace(sub, prepared.train, getattr(prepared, split), config)
         for split in SPLITS
     }
-    return sub, reports
 
 
 def quantized_reports(
@@ -219,8 +215,6 @@ def quantized_reports(
             train_q,
             train_q if split == "train" else quantize(getattr(prepared, split), spec),
             config,
-            "qfda",
-            split,
         )
         for split in splits
     }
@@ -240,7 +234,6 @@ class GridResult:
     cells: list
     chosen: GridCell
     bounds: BoundVector
-    bootstrap_size: int
 
 
 def cost_context(prepared: PreparedData, config: ExperimentConfig) -> CostContext:
@@ -288,20 +281,22 @@ def run_grid(prepared: PreparedData, config: ExperimentConfig) -> GridResult:
                          val_report=report, pso=result)
             )
     chosen = min(cells, key=lambda c: (c.val_report.mean, c.gamma, c.lam))
-    return GridResult(cells=cells, chosen=chosen, bounds=ctx.bounds,
-                      bootstrap_size=ctx.density.s)
+    return GridResult(cells=cells, chosen=chosen, bounds=ctx.bounds)
 
 
 def finalize_model(prepared: PreparedData, config: ExperimentConfig, grid: GridResult):
     """Bundle the chosen cell's quantizer and subspace; evaluate all splits.
 
     The subspace is the one the swarm solved for the chosen level vector
-    and lambda, so nothing is solved again here.
+    and lambda, so nothing is solved again here.  run_grid already scored
+    the val split with this subspace and quantizer, so only train and test
+    are scored.
     """
     cell = grid.chosen
     spec = QuantizerSpec(bounds=grid.bounds, levels=cell.best_m)
     sub = cell.pso.breakdown.subspace
-    reports = quantized_reports(sub, spec, prepared, config)
+    scored = quantized_reports(sub, spec, prepared, config, ("train", "test"))
+    reports = {"train": scored["train"], "val": cell.val_report, "test": scored["test"]}
     bundle = ModelBundle(
         bounds=grid.bounds,
         levels=cell.best_m,
@@ -455,7 +450,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     prepared = prepare(config)
     write_splits(out, prepared.split_indices)
 
-    _, fda_reports = run_baseline_fda(prepared, config)
+    fda_reports = run_baseline_fda(prepared, config)
     write_errors(out, "fda", fda_reports)
 
     grid = run_grid(prepared, config)

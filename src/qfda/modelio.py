@@ -80,9 +80,13 @@ def load_model(directory) -> ModelBundle:
                 "height", "width", "padded_height", "padded_width"):
         if key not in payload:
             raise FormatError(f"model file is missing {key!r}")
-    subspace = load_subspace(directory / payload["subspace_file"])
+    subspace = load_subspace(_parsed(payload, "subspace_file", lambda name: directory / name))
     layout = BlockLayout(**{key: _parsed(payload, key, operator.index) for key in
                             ("height", "width", "padded_height", "padded_width")})
+    if subspace.u.shape[0] != layout.d_prime:
+        raise FormatError(f"subspace has d' = {subspace.u.shape[0]}, but the model's "
+                          f"padded image is {layout.padded_height}x{layout.padded_width} "
+                          f"= {layout.d_prime}")
     bounds = _parsed(payload, "bounds", lambda line: BoundVector(
         ell=vector_from_line(line),
         bootstrap_seed=payload.get("bootstrap_seed", 0),

@@ -6,6 +6,7 @@ import pytest
 
 from qfda.cli import main
 from qfda.dataset import load_split_indices
+from qfda.discriminant import Subspace, load_subspace, save_subspace
 
 from helpers import write_two_class_idx
 
@@ -96,6 +97,14 @@ class TestOptimizeEvaluateExport:
         for split in ("train", "val", "test"):
             name = f"errors_qfda_{split}.csv"
             assert (eval_out / name).read_bytes() == (grid_out / name).read_bytes()
+
+    def test_evaluate_on_other_image_size_exits_1(self, model_dir, tmp_path, capsys):
+        small = write_two_class_idx(tmp_path / "small", n=60, height=8, width=8, seed=3)
+        code = main(["evaluate", "--model", str(model_dir / "model")]
+                    + base_args(small, tmp_path / "out"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "16x16" in err and "8x8" in err
 
     def test_export_commands(self, idx_paths, model_dir, tmp_path, capsys):
         out = tmp_path / "exports"
@@ -244,12 +253,25 @@ class TestDamagedModel:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_subspace_size_differs_from_model_exits_1(self, idx_paths, model_dir,
+                                                       tmp_path, capsys):
+        model = tmp_path / "model"
+        shutil.copytree(model_dir / "model", model)
+        sub = load_subspace(model / "subspace.bin")
+        save_subspace(model / "subspace.bin", Subspace(
+            u=sub.u[:64], eigenvalues=sub.eigenvalues, epsilon=sub.epsilon))
+        code = main(["evaluate", "--model", str(model)]
+                    + base_args(idx_paths, tmp_path / "out"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "64" in err and "256" in err
+
 
 @pytest.mark.parametrize("key, value", [
     ("levels", "a,b"), ("bounds", "3,4"), ("height", "x"),
-    ("levels", ",".join(["1"] * 64)), ("levels", "ell+1")],
+    ("levels", ",".join(["1"] * 64)), ("levels", "ell+1"), ("subspace_file", 7)],
     ids=["levels-not-integers", "bounds-2-entries", "height-string",
-         "levels-below-2", "levels-above-ell"])
+         "levels-below-2", "levels-above-ell", "subspace-file-not-string"])
 def test_damaged_model_value_exits_1(idx_paths, model_dir, tmp_path, key, value,
                                      capsys):
     model = tmp_path / "model"

@@ -11,7 +11,6 @@ from qfda.discriminant import (
     criterion,
     load_subspace,
     plain_scatters,
-    project,
     quantized_scatters,
     save_subspace,
     solve_subspace,
@@ -387,36 +386,6 @@ class TestSpanReduction:
         assert solve_subspace(pair, 5, EPS).dim == 5
         with pytest.raises(DataError, match="6 .* r = 5"):
             solve_subspace(pair, 6, EPS)
-
-
-class TestProject:
-    def test_identity_directions_copy_rows(self):
-        rng = np.random.default_rng(19)
-        x = rng.normal(size=(64, 7))
-        spectra = spectrum_set(x, np.zeros(7))
-        u = np.eye(64)[:, :3]
-        sub = Subspace(u=u, eigenvalues=np.zeros(3), epsilon=EPS)
-        proj = project(spectra, sub)
-        np.testing.assert_array_equal(proj.coords, x[:3])
-        proj2 = project(spectra, sub, q=2)
-        np.testing.assert_array_equal(proj2.coords, x[:2])
-
-    def test_dimension_validation(self):
-        spectra = spectrum_set(np.zeros((64, 3)), np.zeros(3))
-        sub = Subspace(u=np.eye(64)[:, :3], eigenvalues=np.zeros(3),
-                       epsilon=EPS)
-        with pytest.raises(ValueError):
-            project(spectra, sub, q=4)
-        with pytest.raises(ValueError):
-            project(spectra, sub, q=0)
-
-    def test_labels_are_a_copy(self):
-        spectra = spectrum_set(np.zeros((64, 3)), np.arange(3))
-        sub = Subspace(u=np.eye(64)[:, :1], eigenvalues=np.zeros(1),
-                       epsilon=EPS)
-        proj = project(spectra, sub)
-        proj.labels[0] = 99
-        assert spectra.labels[0] == 0
 
 
 class TestSubspaceIO:

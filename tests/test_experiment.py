@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from qfda.blockdct import BlockLayout, SpectrumSet, forward_dct, inverse_dct
 from qfda.config import ExperimentConfig
 from qfda.dataset import read_pgm
 from qfda.discriminant import (
-    Projection,
+    Subspace,
     plain_scatters,
     quantized_scatters,
     solve_subspace,
@@ -53,62 +55,59 @@ def knn_oracle(train_coords, train_labels, eval_coords, eval_labels, k):
     return wrong / eval_coords.shape[1]
 
 
-def proj(coords, labels):
-    return Projection(coords=np.asarray(coords, dtype=np.float64),
-                      labels=np.asarray(labels, dtype=np.int64))
-
-
 class TestKnnError:
     def test_matches_brute_force_on_integer_grids(self):
         # integer coordinates make squared distances exact, so distance
         # ties actually occur and both tie rules get exercised
         rng = np.random.default_rng(23)
         for trial in range(10):
-            q = rng.integers(1, 4)
+            rows = int(rng.integers(1, 6))
             n_train = int(rng.integers(10, 50))
             n_eval = int(rng.integers(5, 30))
             k = int(rng.integers(1, min(8, n_train) + 1))
-            tc = rng.integers(0, 5, size=(q, n_train)).astype(np.float64)
-            ec = rng.integers(0, 5, size=(q, n_eval)).astype(np.float64)
+            tc = rng.integers(0, 5, size=(rows, n_train)).astype(np.float64)
+            ec = rng.integers(0, 5, size=(rows, n_eval)).astype(np.float64)
             tl = rng.integers(0, 3, size=n_train)
             el = rng.integers(0, 3, size=n_eval)
-            got = knn_error(proj(tc, tl), proj(ec, el), k)
-            assert got == knn_oracle(tc, tl, ec, el, k)
+            got = knn_error(tc, tl, ec, el, k)
+            expected = [knn_oracle(tc[:q], tl, ec[:q], el, k) for q in range(1, rows + 1)]
+            assert got.tolist() == expected
 
     def test_self_evaluation_is_zero(self):
         rng = np.random.default_rng(24)
         coords = rng.normal(size=(3, 30))
         labels = rng.integers(0, 4, size=30)
-        assert knn_error(proj(coords, labels), proj(coords, labels), 1) == 0.0
+        np.testing.assert_array_equal(knn_error(coords, labels, coords, labels, 1),
+                                      np.zeros(3))
 
     def test_distance_tie_takes_smaller_train_index(self):
-        train = proj([[0.0, 0.0]], [1, 0])
-        assert knn_error(train, proj([[0.0]], [1]), 1) == 0.0
-        assert knn_error(train, proj([[0.0]], [0]), 1) == 1.0
+        train, labels = np.zeros((1, 2)), np.array([1, 0])
+        assert knn_error(train, labels, np.zeros((1, 1)), np.array([1]), 1).tolist() == [0.0]
+        assert knn_error(train, labels, np.zeros((1, 1)), np.array([0]), 1).tolist() == [1.0]
 
     def test_vote_tie_takes_smaller_class_id(self):
-        train = proj([[0.0, 0.0]], [1, 0])
-        assert knn_error(train, proj([[0.0]], [0]), 2) == 0.0
+        train, labels = np.zeros((1, 2)), np.array([1, 0])
+        assert knn_error(train, labels, np.zeros((1, 1)), np.array([0]), 2).tolist() == [0.0]
 
     def test_validation(self):
-        train = proj(np.zeros((2, 5)), np.zeros(5))
+        train, labels = np.zeros((2, 5)), np.zeros(5, dtype=np.int64)
         with pytest.raises(ValueError):
-            knn_error(train, proj(np.zeros((2, 3)), np.zeros(3)), 6)
+            knn_error(train, labels, np.zeros((2, 3)), np.zeros(3), 6)
         with pytest.raises(ConsistencyError):
-            knn_error(train, proj(np.zeros((3, 3)), np.zeros(3)), 1)
+            knn_error(train, labels, np.zeros((3, 3)), np.zeros(3), 1)
         with pytest.raises(DataError):
-            knn_error(train, proj(np.zeros((2, 0)), np.zeros(0)), 1)
+            knn_error(train, labels, np.zeros((2, 0)), np.zeros(0), 1)
 
 
 class TestEvalReport:
     def test_population_moments(self):
         errors = [0.1, 0.2, 0.4]
-        report = EvalReport.from_errors("fda", "val", errors)
+        report = EvalReport.from_errors(errors)
         assert report.mean == pytest.approx(np.mean(errors), abs=1e-12)
         assert report.std == pytest.approx(np.std(errors), abs=1e-12)
 
     def test_single_entry_has_zero_std(self):
-        report = EvalReport.from_errors("qfda", "test", [0.25])
+        report = EvalReport.from_errors([0.25])
         assert report.mean == 0.25 and report.std == 0.0
 
 
@@ -125,7 +124,7 @@ class TestEvaluateSubspace:
         train, evl = separable_sets()
         config = ExperimentConfig(max_dims=5, k_nn=3)
         sub = solve_subspace(plain_scatters(train), 5, config.epsilon)
-        report = evaluate_subspace(sub, train, evl, config, "fda", "val")
+        report = evaluate_subspace(sub, train, evl, config)
         assert report.per_dim_errors.shape == (5,)
         np.testing.assert_array_equal(report.per_dim_errors, np.zeros(5))
 
@@ -133,12 +132,31 @@ class TestEvaluateSubspace:
         train, evl = separable_sets()
         config = ExperimentConfig(max_dims=4, k_nn=3)
         sub = solve_subspace(plain_scatters(train), 8, config.epsilon)
-        report = evaluate_subspace(sub, train, evl, config, "fda", "val")
+        report = evaluate_subspace(sub, train, evl, config)
         assert len(report.per_dim_errors) == 4
-        one = knn_error(
-            proj(sub.u[:, :1].T @ train.coeffs, train.labels),
-            proj(sub.u[:, :1].T @ evl.coeffs, evl.labels), 3)
+        one = knn_oracle(sub.u[:, :1].T @ train.coeffs, train.labels,
+                         sub.u[:, :1].T @ evl.coeffs, evl.labels, 3)
         assert report.per_dim_errors[0] == one
+
+    def test_peak_memory_is_a_few_eval_by_train_arrays(self):
+        # a (q, eval, train) difference tensor would be 20 such arrays
+        rng = np.random.default_rng(25)
+        layout = BlockLayout.for_image(8, 8)
+        train = SpectrumSet(coeffs=rng.normal(size=(64, 600)), layout=layout,
+                            labels=rng.integers(0, 2, size=600))
+        evl = SpectrumSet(coeffs=rng.normal(size=(64, 200)), layout=layout,
+                          labels=rng.integers(0, 2, size=200))
+        sub = Subspace(u=np.linalg.qr(rng.normal(size=(64, 20)))[0],
+                       eigenvalues=np.zeros(20), epsilon=1e-5)
+        config = ExperimentConfig(max_dims=20, k_nn=3)
+        tracemalloc.start()
+        try:
+            report = evaluate_subspace(sub, train, evl, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.per_dim_errors.shape == (20,)
+        assert peak < 8 * 200 * 600 * 8
 
 
 @pytest.fixture(scope="module")
@@ -216,10 +234,9 @@ class TestBaseline:
     def test_reports_cover_all_splits(self, idx_paths, tmp_path):
         config = small_config(idx_paths, tmp_path)
         prepared = prepare(config)
-        _, reports = run_baseline_fda(prepared, config)
+        reports = run_baseline_fda(prepared, config)
         assert set(reports) == {"train", "val", "test"}
-        for split, report in reports.items():
-            assert report.method == "fda" and report.split == split
+        for report in reports.values():
             assert report.per_dim_errors.shape == (4,)
             assert ((report.per_dim_errors >= 0)
                     & (report.per_dim_errors <= 1)).all()
@@ -253,7 +270,7 @@ class TestGrid:
         best_mean = min(c.val_report.mean for c in grid.cells)
         candidates = [c for c in grid.cells if c.val_report.mean == best_mean]
         assert grid.chosen is candidates[0]
-        assert grid.bootstrap_size == 36
+        assert grid.bounds.bootstrap_size == 36
 
     def test_budget_and_level_bounds(self, experiment):
         _, result = experiment
@@ -306,6 +323,11 @@ class TestRunExperiment:
             assert float(err) == report.per_dim_errors[q - 1]
         assert float(lines[-2].split(",")[1]) == report.mean
         assert float(lines[-1].split(",")[1]) == report.std
+
+    def test_val_report_is_the_chosen_cells(self, experiment):
+        # the grid already scored the chosen quantizer on val; it is not rescored
+        _, result = experiment
+        assert result.qfda_reports["val"] is result.grid.chosen.val_report
 
     def test_levels_and_trace_csv(self, experiment):
         _, result = experiment
