@@ -46,6 +46,8 @@ class BlockLayout:
         return cls(height, width, pad(height), pad(width))
 
     def __post_init__(self):
+        if min(self.height, self.width) < 1:
+            raise ConsistencyError(f"image size {self.height}x{self.width} is not positive")
         for padded, original in ((self.padded_height, self.height),
                                  (self.padded_width, self.width)):
             if padded % BLOCK or padded < original or padded - original >= BLOCK:

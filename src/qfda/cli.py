@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .config import ExperimentConfig, apply_overrides, load_config
-from .errors import ConsistencyError, DataError, FormatError, QfdaError
+from .errors import ConsistencyError, FormatError, QfdaError
 from .experiment import (
     SPLITS,
     cost_context,
@@ -21,6 +21,7 @@ from .experiment import (
     prepare,
     pso_config,
     quantized_reports,
+    read_errors,
     run_baseline_fda,
     run_experiment,
     trace_csv,
@@ -133,10 +134,9 @@ def _cmd_evaluate(args):
 def _cmd_export_eigenfaces(args):
     cfg = _build_config(args)
     bundle = load_model(args.model)
-    dim = bundle.subspace.dim
-    count = min(cfg.eigenface_count, dim) if args.count is None else args.count
-    if not 1 <= count <= dim:
-        raise DataError(f"--count {count} outside [1, {dim}]")
+    count = args.count
+    if count is None:
+        count = min(cfg.eigenface_count, bundle.subspace.dim)
     paths = export_eigenfaces(bundle.subspace, bundle.layout, count,
                               Path(cfg.output_dir) / "eigenfaces")
     print(f"wrote {len(paths)} eigenface images")
@@ -144,8 +144,6 @@ def _cmd_export_eigenfaces(args):
 
 def _cmd_export_quantized(args):
     cfg = _build_config(args)
-    if args.count < 1:
-        raise DataError(f"--count {args.count} must be at least 1")
     bundle = load_model(args.model)
     prepared = prepare(cfg)
     spec = QuantizerSpec(bounds=bundle.bounds, levels=bundle.levels)
@@ -169,10 +167,8 @@ def _cmd_report(args):
             path = out / f"errors_{method}_{split}.csv"
             if not path.exists():
                 continue
-            lines = path.read_text(encoding="utf-8").strip().splitlines()
-            stats = dict(line.split(",", 1) for line in lines[1:])
-            print(f"{method} {split}: mean {float(stats['mean']):.4f} "
-                  f"+- {float(stats['std']):.4f}")
+            mean, std = read_errors(path)
+            print(f"{method} {split}: mean {mean:.4f} +- {std:.4f}")
 
 
 def build_parser() -> argparse.ArgumentParser:

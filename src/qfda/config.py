@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .errors import FormatError
-from .pso import ACCELERATION, INERTIA
 
 
 @dataclass
@@ -42,9 +41,6 @@ class ExperimentConfig:
     lambda_grid: list = field(default_factory=lambda: [0.5, 2.0])
     particles: int = 5
     iterations: int = 10
-    inertia: float = INERTIA
-    cognitive: float = ACCELERATION
-    social: float = ACCELERATION
     pso_seed: int = 0
     bootstrap_size: int = 0        # 0: min(100, training set size)
     bootstrap_seed: int = 0
@@ -74,8 +70,6 @@ class ExperimentConfig:
             raise ValueError("images_per_class must be at least 0")
         if not 0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon {self.epsilon!r} must be positive and finite")
-        if not all(map(math.isfinite, (self.inertia, self.cognitive, self.social))):
-            raise ValueError("inertia, cognitive and social must be finite")
         if not all(0 <= g < math.inf for g in self.gamma_grid):
             raise ValueError(f"gamma_grid {self.gamma_grid!r} must be finite and >= 0")
         if not all(map(math.isfinite, self.lambda_grid)):

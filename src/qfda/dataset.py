@@ -44,13 +44,8 @@ class RawImageSet:
             )
         if self.labels.shape != (self.pixels.shape[1],):
             raise ConsistencyError("one label per column required")
-        if self.n > 0:
-            if self.labels.min() < 0:
-                raise ConsistencyError("labels must be nonnegative")
-            counts = np.bincount(self.labels, minlength=self.num_classes)
-            if (counts == 0).any():
-                empty = np.nonzero(counts == 0)[0]
-                raise ConsistencyError(f"classes with no members: {empty.tolist()}")
+        if self.n > 0 and self.labels.min() < 0:
+            raise ConsistencyError("labels must be nonnegative")
 
     @property
     def d(self) -> int:
@@ -59,10 +54,6 @@ class RawImageSet:
     @property
     def n(self) -> int:
         return self.pixels.shape[1]
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.labels.max()) + 1 if self.n else 0
 
 
 @dataclass(frozen=True)
@@ -294,9 +285,12 @@ def select_classes(dataset: RawImageSet, classes, per_class=None) -> RawImageSet
 
     ``per_class`` caps how many images of each class are kept (first in
     corpus order), so a small deterministic subset can be carved out of a
-    large file.
+    large file.  A listed class with no images raises DataError.
     """
     classes = sorted(int(c) for c in classes)
+    missing = sorted(set(classes) - set(dataset.labels.tolist()))
+    if missing:
+        raise DataError(f"requested classes with no images: {missing}")
     remap = {c: i for i, c in enumerate(classes)}
     keep = []
     taken = {c: 0 for c in classes}

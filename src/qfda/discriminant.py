@@ -26,7 +26,6 @@ n, not d', and no d' x d' matrix is formed unless a caller reads s_t, s_w or
 s_b.
 """
 
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,9 +33,7 @@ import numpy as np
 import scipy.linalg
 
 from .blockdct import SpectrumSet
-from .errors import ConsistencyError, DataError, FormatError, NumericError
-
-SUBSPACE_MAGIC = b"QSUB"
+from .errors import ConsistencyError, DataError, NumericError
 
 
 def _centered_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -206,33 +203,3 @@ def criterion(pair: ScatterPair, subspace: Subspace, q: int | None = None) -> fl
     if den <= 0:
         raise NumericError(f"within-class trace {den!r} is not positive")
     return float(num / den)
-
-
-def save_subspace(path, subspace: Subspace) -> None:
-    """Binary layout: magic, d', p, epsilon, column-major U, eigenvalues."""
-    d, p = subspace.u.shape
-    with open(path, "wb") as fh:
-        fh.write(SUBSPACE_MAGIC)
-        fh.write(struct.pack("<2i", d, p))
-        fh.write(struct.pack("<d", subspace.epsilon))
-        fh.write(np.ascontiguousarray(subspace.u.T).tobytes())
-        fh.write(subspace.eigenvalues.astype(np.float64).tobytes())
-
-
-def load_subspace(path) -> Subspace:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != SUBSPACE_MAGIC:
-        raise FormatError(f"bad subspace magic {data[:4]!r}")
-    if len(data) < 20:
-        raise FormatError("truncated subspace header")
-    d, p = struct.unpack_from("<2i", data, 4)
-    (epsilon,) = struct.unpack_from("<d", data, 12)
-    if d < 1 or p < 1:
-        raise FormatError(f"bad subspace shape {d} x {p}")
-    if len(data) != 20 + 8 * p * (d + 1):
-        raise FormatError(f"subspace payload is {len(data) - 20} bytes, "
-                          f"expected {8 * p * (d + 1)} for {d} x {p}")
-    u = np.frombuffer(data, dtype="<f8", count=d * p, offset=20).reshape(p, d).T.copy()
-    vals = np.frombuffer(data, dtype="<f8", count=p, offset=20 + 8 * d * p).copy()
-    return Subspace(u=u, eigenvalues=vals, epsilon=epsilon)

@@ -38,7 +38,7 @@ from .discriminant import (
     quantized_scatters,  # unused here; perfbench's tracer looks it up in this module
     solve_subspace,
 )
-from .errors import ConsistencyError, DataError
+from .errors import ConsistencyError, DataError, FormatError
 from .modelio import ModelBundle, save_model
 from .pso import CostContext, PsoConfig, PsoResult, run_pso
 from .quantizer import (
@@ -160,6 +160,9 @@ def prepare(config: ExperimentConfig) -> PreparedData:
     if config.classes or config.images_per_class:
         classes = config.classes or np.unique(raw.labels).tolist()
         raw = select_classes(raw, classes, per_class=config.images_per_class or None)
+    present = np.unique(raw.labels).tolist()
+    if len(present) < 2:
+        raise DataError(f"need images of at least two classes, got classes {present}")
     if config.resample_factor != 1:
         raw = resample(raw, config.resample_factor)
     spec = SplitSpec(
@@ -224,7 +227,6 @@ def quantized_reports(
 class GridCell:
     gamma: float
     lam: float
-    best_m: LevelVector
     val_report: EvalReport
     pso: PsoResult
 
@@ -254,9 +256,6 @@ def pso_config(config: ExperimentConfig, gamma: float, lam: float) -> PsoConfig:
         lam=lam,
         particles=config.particles,
         iterations=config.iterations,
-        inertia=config.inertia,
-        cognitive=config.cognitive,
-        social=config.social,
         seed=config.pso_seed,
     )
 
@@ -276,10 +275,7 @@ def run_grid(prepared: PreparedData, config: ExperimentConfig) -> GridResult:
             spec = QuantizerSpec(bounds=ctx.bounds, levels=result.best)
             report = quantized_reports(result.breakdown.subspace, spec, prepared, config,
                                        ("val",))["val"]
-            cells.append(
-                GridCell(gamma=gamma, lam=lam, best_m=result.best,
-                         val_report=report, pso=result)
-            )
+            cells.append(GridCell(gamma=gamma, lam=lam, val_report=report, pso=result))
     chosen = min(cells, key=lambda c: (c.val_report.mean, c.gamma, c.lam))
     return GridResult(cells=cells, chosen=chosen, bounds=ctx.bounds)
 
@@ -293,13 +289,13 @@ def finalize_model(prepared: PreparedData, config: ExperimentConfig, grid: GridR
     are scored.
     """
     cell = grid.chosen
-    spec = QuantizerSpec(bounds=grid.bounds, levels=cell.best_m)
+    spec = QuantizerSpec(bounds=grid.bounds, levels=cell.pso.best)
     sub = cell.pso.breakdown.subspace
     scored = quantized_reports(sub, spec, prepared, config, ("train", "test"))
     reports = {"train": scored["train"], "val": cell.val_report, "test": scored["test"]}
     bundle = ModelBundle(
         bounds=grid.bounds,
-        levels=cell.best_m,
+        levels=cell.pso.best,
         subspace=sub,
         layout=prepared.layout,
         gamma=cell.gamma,
@@ -319,7 +315,7 @@ def _normalize_to_byte(image: np.ndarray) -> np.ndarray:
 def export_eigenfaces(subspace: Subspace, layout: BlockLayout, count: int, output_dir):
     """Render the leading directions as images via the inverse transform."""
     if not 1 <= count <= subspace.dim:
-        raise ValueError(f"count {count} outside [1, {subspace.dim}]")
+        raise DataError(f"eigenface count {count} outside [1, {subspace.dim}]")
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     spectra = SpectrumSet(
@@ -349,6 +345,8 @@ def export_quantized_images(
     Original and quantized panels add the mean back and clamp to [0,255];
     the centered panel is min-max scaled since it is signed by construction.
     """
+    if count < 1:
+        raise DataError(f"sample count {count} must be at least 1")
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     count = min(count, spectra.n)
@@ -394,6 +392,18 @@ def errors_csv(report: EvalReport) -> str:
     lines.append(f"mean,{_fmt(report.mean)}")
     lines.append(f"std,{_fmt(report.std)}")
     return "\n".join(lines) + "\n"
+
+
+def read_errors(path) -> tuple:
+    """(mean, std) of a file errors_csv wrote; FormatError names a file that is not one."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        rows = dict(line.split(",", 1) for line in lines[1:])
+        return float(rows["mean"]), float(rows["std"])
+    except KeyError as exc:
+        raise FormatError(f"{path}: errors file has no {exc} line") from exc
+    except ValueError as exc:
+        raise FormatError(f"{path}: bad errors file: {exc}") from exc
 
 
 def levels_csv(levels: LevelVector) -> str:
@@ -459,7 +469,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         cell_dir = out / f"cell_g{_fmt(cell.gamma)}_l{_fmt(cell.lam)}"
         cell_dir.mkdir(exist_ok=True)
         write_text(cell_dir / "trace.csv", trace_csv(cell.pso))
-        write_text(cell_dir / "levels.csv", levels_csv(cell.best_m))
+        write_text(cell_dir / "levels.csv", levels_csv(cell.pso.best))
 
     bundle, qfda_reports = finalize_model(prepared, config, grid)
     write_errors(out, "qfda", qfda_reports)

@@ -1,25 +1,30 @@
 """Saving and loading a trained quantized-discriminant model.
 
 A model directory holds two files: ``model.json`` with the quantizer
-(bounds and levels as comma-separated integers), the cost weights, and a
-reference to the subspace file; and ``subspace.bin`` with the projection
-matrix.  The JSON is written with sorted keys so identical models produce
-identical bytes.
+(bounds and levels as comma-separated integers), the cost weights and the
+image size; and ``subspace.bin`` with the projection matrix, its
+eigenvalues and the epsilon it was solved with.  Each value lives in one
+file only.  The JSON is written with sorted keys so identical models produce
+identical bytes; keys the loader does not read are ignored.
 """
 
 import json
 import operator
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .blockdct import BlockLayout
-from .discriminant import Subspace, load_subspace, save_subspace
+from .discriminant import Subspace
 from .errors import FormatError
 from .pso import CostBreakdown
 from .quantizer import BoundVector, LevelVector, QuantizerSpec, vector_from_line
 
 MODEL_FILE = "model.json"
 SUBSPACE_FILE = "subspace.bin"
+SUBSPACE_MAGIC = b"QSUB"
 
 
 @dataclass
@@ -33,6 +38,36 @@ class ModelBundle:
     breakdown: CostBreakdown
 
 
+def save_subspace(path, subspace: Subspace) -> None:
+    """Binary layout: magic, d', p, epsilon, column-major U, eigenvalues."""
+    d, p = subspace.u.shape
+    with open(path, "wb") as fh:
+        fh.write(SUBSPACE_MAGIC)
+        fh.write(struct.pack("<2i", d, p))
+        fh.write(struct.pack("<d", subspace.epsilon))
+        fh.write(np.ascontiguousarray(subspace.u.T).tobytes())
+        fh.write(subspace.eigenvalues.astype(np.float64).tobytes())
+
+
+def load_subspace(path) -> Subspace:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data[:4] != SUBSPACE_MAGIC:
+        raise FormatError(f"bad subspace magic {data[:4]!r}")
+    if len(data) < 20:
+        raise FormatError("truncated subspace header")
+    d, p = struct.unpack_from("<2i", data, 4)
+    (epsilon,) = struct.unpack_from("<d", data, 12)
+    if d < 1 or p < 1:
+        raise FormatError(f"bad subspace shape {d} x {p}")
+    if len(data) != 20 + 8 * p * (d + 1):
+        raise FormatError(f"subspace payload is {len(data) - 20} bytes, "
+                          f"expected {8 * p * (d + 1)} for {d} x {p}")
+    u = np.frombuffer(data, dtype="<f8", count=d * p, offset=20).reshape(p, d).T.copy()
+    vals = np.frombuffer(data, dtype="<f8", count=p, offset=20 + 8 * d * p).copy()
+    return Subspace(u=u, eigenvalues=vals, epsilon=epsilon)
+
+
 def save_model(directory, bundle: ModelBundle) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -43,16 +78,11 @@ def save_model(directory, bundle: ModelBundle) -> Path:
         "bootstrap_size": bundle.bounds.bootstrap_size,
         "cost": bundle.breakdown.total,
         "criterion": bundle.breakdown.criterion,
-        "epsilon": bundle.subspace.epsilon,
         "gamma": bundle.gamma,
         "height": bundle.layout.height,
         "lambda": bundle.lam,
         "levels": bundle.levels.to_line(),
-        "padded_height": bundle.layout.padded_height,
-        "padded_width": bundle.layout.padded_width,
         "rate": bundle.breakdown.rate,
-        "subspace_dim": bundle.subspace.dim,
-        "subspace_file": SUBSPACE_FILE,
         "width": bundle.layout.width,
     }
     path = directory / MODEL_FILE
@@ -76,13 +106,13 @@ def load_model(directory) -> ModelBundle:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(f"unreadable model file: {exc}") from exc
-    for key in ("bounds", "levels", "gamma", "lambda", "subspace_file",
-                "height", "width", "padded_height", "padded_width"):
+    for key in ("bounds", "levels", "gamma", "lambda", "height", "width"):
         if key not in payload:
             raise FormatError(f"model file is missing {key!r}")
-    subspace = load_subspace(_parsed(payload, "subspace_file", lambda name: directory / name))
-    layout = BlockLayout(**{key: _parsed(payload, key, operator.index) for key in
-                            ("height", "width", "padded_height", "padded_width")})
+    subspace = load_subspace(directory / SUBSPACE_FILE)
+    layout = BlockLayout.for_image(_parsed(payload, "height", operator.index),
+                                   _parsed(payload, "width", operator.index))
+    # subspace.bin is outside input, so its d' must match the image size
     if subspace.u.shape[0] != layout.d_prime:
         raise FormatError(f"subspace has d' = {subspace.u.shape[0]}, but the model's "
                           f"padded image is {layout.padded_height}x{layout.padded_width} "

@@ -26,6 +26,8 @@ from .errors import NumericError, OptimizationError
 from .quantizer import BoundVector, LevelVector, QuantizerSpec, project_levels, quantize
 from .rate import FrequencyDensity, rate
 
+# Clerc-Kennedy constriction coefficients (IEEE TEC 2002): inertia, and the
+# one acceleration shared by the cognitive and social terms
 INERTIA = 0.7298
 ACCELERATION = 1.49618
 
@@ -36,9 +38,6 @@ class PsoConfig:
     lam: float
     particles: int = 5
     iterations: int = 10
-    inertia: float = INERTIA
-    cognitive: float = ACCELERATION
-    social: float = ACCELERATION
     seed: int = 0
 
     def __post_init__(self):
@@ -122,9 +121,9 @@ def run_pso(ctx: CostContext, config: PsoConfig, threads: int = 1) -> PsoResult:
                 r1 = rng.random((n, dims))
                 r2 = rng.random((n, dims))
                 velocities = (
-                    config.inertia * velocities
-                    + config.cognitive * r1 * (pbest_x - positions)
-                    + config.social * r2 * (gbest_x - positions)
+                    INERTIA * velocities
+                    + ACCELERATION * r1 * (pbest_x - positions)
+                    + ACCELERATION * r2 * (gbest_x - positions)
                 )
                 positions = positions + velocities
             keys = [project_levels(x, ctx.bounds).m.tobytes() for x in positions]

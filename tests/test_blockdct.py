@@ -54,6 +54,12 @@ class TestLayout:
         with pytest.raises(ConsistencyError):
             BlockLayout(height=10, width=10, padded_height=16, padded_width=10)
 
+    def test_non_positive_size_rejected(self):
+        # -17 pads to -16, so a -17x-17 model.json would pass the d' = 256 check
+        for height, width in ((-17, -17), (0, 8)):
+            with pytest.raises(ConsistencyError, match="not positive"):
+                BlockLayout.for_image(height, width)
+
 
 class TestBasis:
     def test_orthonormal(self):

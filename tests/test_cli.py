@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from qfda.cli import main
-from qfda.dataset import load_split_indices
-from qfda.discriminant import Subspace, load_subspace, save_subspace
+from qfda.dataset import load_split_indices, write_idx
+from qfda.discriminant import Subspace
+from qfda.modelio import load_subspace, save_subspace
 
-from helpers import write_two_class_idx
+from helpers import two_class_images, write_two_class_idx
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +224,42 @@ class TestErrorPaths:
         assert "error:" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.pgm"))
 
+    @pytest.mark.parametrize("classes", ["0,5", "1,5"])
+    def test_requested_class_without_images_exits_1(self, idx_paths, classes,
+                                                     tmp_path, capsys):
+        code = main(["baseline"] + base_args(idx_paths, tmp_path)
+                    + ["--set", f"classes={classes}"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "[5]" in err
+        assert not list(tmp_path.glob("errors_*.csv"))
+
+    def test_label_ids_with_gaps(self, tmp_path, capsys):
+        raw = two_class_images(n=60, height=16, width=16, seed=3)
+        raw.labels = np.where(raw.labels == 0, 3, 7)
+        images = tmp_path / "gaps-images-idx3-ubyte"
+        write_idx(raw, images, tmp_path / "gaps-labels-idx1-ubyte")
+        code = main(["baseline"] + base_args((images, None), tmp_path / "out")
+                    + ["--set", "classes=3,7"])
+        assert code == 0, capsys.readouterr().err
+        assert (tmp_path / "out" / "errors_fda_test.csv").is_file()
+
+    @pytest.mark.parametrize("damage", ["bad-mean", "no-mean"])
+    def test_report_on_damaged_errors_file_exits_1(self, idx_paths, damage,
+                                                   tmp_path, capsys):
+        assert main(["baseline"] + base_args(idx_paths, tmp_path)) == 0
+        path = tmp_path / "errors_fda_val.csv"
+        lines = path.read_text().splitlines()
+        if damage == "bad-mean":
+            lines = [line if not line.startswith("mean,") else "mean,abc" for line in lines]
+        else:
+            lines = [line for line in lines if not line.startswith("mean,")]
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["report", "--output-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and str(path) in err
+
     def test_too_few_training_images_for_max_dims(self, idx_paths, tmp_path,
                                                   capsys):
         # 6 training images span only 6 dimensions: 20 directions cannot exist
@@ -234,8 +271,7 @@ class TestErrorPaths:
 
 
 class TestDamagedModel:
-    @pytest.mark.parametrize("damage", ["subspace.bin", "height", "width",
-                                        "padded_height", "padded_width"])
+    @pytest.mark.parametrize("damage", ["subspace.bin", "height", "width"])
     def test_export_eigenfaces_exits_1(self, model_dir, tmp_path, damage,
                                        capsys):
         # damage is the truncated file or the model.json key removed
@@ -269,9 +305,9 @@ class TestDamagedModel:
 
 @pytest.mark.parametrize("key, value", [
     ("levels", "a,b"), ("bounds", "3,4"), ("height", "x"),
-    ("levels", ",".join(["1"] * 64)), ("levels", "ell+1"), ("subspace_file", 7)],
+    ("levels", ",".join(["1"] * 64)), ("levels", "ell+1")],
     ids=["levels-not-integers", "bounds-2-entries", "height-string",
-         "levels-below-2", "levels-above-ell", "subspace-file-not-string"])
+         "levels-below-2", "levels-above-ell"])
 def test_damaged_model_value_exits_1(idx_paths, model_dir, tmp_path, key, value,
                                      capsys):
     model = tmp_path / "model"

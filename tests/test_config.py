@@ -95,9 +95,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             parse_config_text("k_nn = 0\n")
 
-    def test_swarm_coefficients_render_unchanged(self):
-        assert ("inertia = 0.7298\ncognitive = 1.49618\nsocial = 1.49618\n"
-                in config_text(ExperimentConfig()))
+    @pytest.mark.parametrize("key", ["inertia", "cognitive", "social"])
+    def test_swarm_coefficients_are_not_config_keys(self, key):
+        # the swarm always uses the constriction constants in qfda.pso
+        with pytest.raises(FormatError, match=f"unknown config key '{key}'"):
+            parse_config_text(f"{key} = 0.5\n")
 
     def test_zero_gamma_accepted(self):
         assert parse_config_text("gamma_grid = 0, 1\n").gamma_grid == [0.0, 1.0]

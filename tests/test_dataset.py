@@ -57,15 +57,20 @@ class TestRawImageSet:
             RawImageSet(pixels=np.zeros((64, 2)), height=8, width=8,
                         labels=np.array([0, -1]))
 
-    def test_gap_in_classes(self):
-        # label 1 has no members when labels are {0, 2}
-        with pytest.raises(ConsistencyError):
-            RawImageSet(pixels=np.zeros((64, 2)), height=8, width=8,
-                        labels=np.array([0, 2]))
+    def test_gap_in_classes(self, tmp_path):
+        # label ids need not be dense: an IDX pair labelled {3, 7} loads
+        ds = small_set(n=6, classes=2)
+        ds.labels = np.where(ds.labels == 0, 3, 7)
+        ip, lp = tmp_path / "g-images-idx3-ubyte", tmp_path / "g-labels-idx1-ubyte"
+        write_idx(ds, ip, lp)
+        back = load_idx(ip, lp)
+        np.testing.assert_array_equal(back.labels, [3, 7, 3, 7, 3, 7])
+        np.testing.assert_array_equal(select_classes(back, [3, 7]).labels,
+                                      [0, 1, 0, 1, 0, 1])
 
     def test_properties(self):
         ds = small_set()
-        assert ds.d == 64 and ds.n == 12 and ds.num_classes == 3
+        assert ds.d == 64 and ds.n == 12
 
 
 class TestIdxFiles:
@@ -192,6 +197,14 @@ class TestPgmDir:
         ds = load_pgm_dir(tmp_path, parse_class_map(mapping))
         np.testing.assert_array_equal(ds.labels, [1, 1, 0, 0])
 
+    def test_class_map_with_gaps(self, tmp_path):
+        # AT&T-style folders s1, s2 mapped to ids 1 and 2: no class 0
+        self._make_tree(tmp_path, names=("s1", "s2"))
+        mapping = tmp_path / "map.txt"
+        mapping.write_text("s1 = 1\ns2 = 2\n")
+        ds = load_pgm_dir(tmp_path, parse_class_map(mapping))
+        np.testing.assert_array_equal(ds.labels, [1, 1, 2, 2])
+
     def test_missing_map_entry(self, tmp_path):
         self._make_tree(tmp_path)
         with pytest.raises(ConsistencyError):
@@ -232,6 +245,11 @@ class TestSelectClasses:
         out = select_classes(ds, [0, 1], per_class=2)
         assert out.n == 4
         np.testing.assert_array_equal(np.bincount(out.labels), [2, 2])
+
+    def test_requested_class_without_images(self):
+        ds = small_set(n=12, classes=3)
+        with pytest.raises(DataError, match=r"\[5, 9\]"):
+            select_classes(ds, [0, 5, 9])
 
 
 class TestSplit:

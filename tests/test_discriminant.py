@@ -9,13 +9,12 @@ from qfda.discriminant import (
     ScatterPair,
     Subspace,
     criterion,
-    load_subspace,
     plain_scatters,
     quantized_scatters,
-    save_subspace,
     solve_subspace,
 )
 from qfda.errors import ConsistencyError, DataError, FormatError, NumericError
+from qfda.modelio import load_subspace, save_subspace
 from qfda.quantizer import BoundVector, LevelVector, QuantizerSpec, quantize
 
 from helpers import gaussian_class_spectra

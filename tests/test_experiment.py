@@ -215,13 +215,16 @@ class TestPrepare:
         np.testing.assert_array_equal(counts, [5, 5])
 
     def test_class_selection(self, idx_paths, tmp_path):
-        config = small_config(idx_paths, tmp_path, classes=[1],
-                              images_per_class=20)
+        config = small_config(idx_paths, tmp_path, classes=[0, 1],
+                              images_per_class=10)
         prepared = prepare(config)
         total = prepared.train.n + prepared.val.n + prepared.test.n
         assert total == 20
         for spectra in (prepared.train, prepared.val, prepared.test):
-            assert (spectra.labels == 0).all()
+            assert set(spectra.labels.tolist()) == {0, 1}
+        # one class is no discrimination problem
+        with pytest.raises(DataError, match="at least two classes"):
+            prepare(small_config(idx_paths, tmp_path, classes=[1]))
 
     def test_resampling_shrinks_geometry(self, idx_paths, tmp_path):
         config = small_config(idx_paths, tmp_path, resample_factor=0.5)
@@ -276,8 +279,8 @@ class TestGrid:
         _, result = experiment
         for cell in result.grid.cells:
             assert cell.pso.evaluations <= 3 * 3
-            assert (cell.best_m.m >= 2).all()
-            assert (cell.best_m.m <= result.grid.bounds.ell).all()
+            assert (cell.pso.best.m >= 2).all()
+            assert (cell.pso.best.m <= result.grid.bounds.ell).all()
 
     def test_grid_csv_layout(self, experiment):
         config, result = experiment
@@ -371,9 +374,10 @@ class TestExports:
                                            "eigenface_01.pgm"]
         image = read_pgm(paths[0])
         assert image.shape == (16, 16)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             export_eigenfaces(result.bundle.subspace, result.bundle.layout,
                               99, tmp_path / "bad")
+        assert not (tmp_path / "bad").exists()
 
     def test_quantized_export_panels(self, experiment, tmp_path):
         config, result = experiment
@@ -390,6 +394,16 @@ class TestExports:
             "sample_01_original.pgm", "sample_01_quantized.pgm",
         ]
         assert read_pgm(paths[0]).shape == (16, 16)
+
+    def test_quantized_export_count_below_one(self, experiment, tmp_path):
+        config, result = experiment
+        prepared = prepare(config)
+        spec = QuantizerSpec(bounds=result.bundle.bounds,
+                             levels=result.bundle.levels)
+        with pytest.raises(DataError):
+            export_quantized_images(prepared.train, spec, prepared.mean_image,
+                                    tmp_path / "q", count=0)
+        assert not (tmp_path / "q").exists()
 
     def test_requantizing_quantized_spectra_changes_nothing(self, experiment,
                                                             tmp_path):
@@ -443,7 +457,7 @@ class TestOneSolvePerLevelVector:
         config, result = experiment
         chosen = result.grid.chosen
         prepared = prepare(config)
-        spec = QuantizerSpec(bounds=result.grid.bounds, levels=chosen.best_m)
+        spec = QuantizerSpec(bounds=result.grid.bounds, levels=chosen.pso.best)
         pair = quantized_scatters(prepared.train, quantize(prepared.train, spec),
                                   chosen.lam)
         expected = solve_subspace(pair, min(config.max_dims, prepared.layout.d_prime),
