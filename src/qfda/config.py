@@ -51,13 +51,20 @@ class ExperimentConfig:
     eigenface_count: int = 18
 
     def __post_init__(self):
-        fr = self.train_fraction + self.val_fraction + self.test_fraction
+        fractions = (self.train_fraction, self.val_fraction, self.test_fraction)
+        if not all(0 < f < 1 for f in fractions):
+            raise ValueError(f"split fractions {fractions!r} must each lie in (0, 1)")
+        fr = sum(fractions)
         if abs(fr - 1.0) > 1e-9:
             raise ValueError(f"split fractions sum to {fr!r}, expected 1")
         if self.dataset_kind not in ("idx", "pgm_dir"):
             raise ValueError(f"unknown dataset kind {self.dataset_kind!r}")
         if not self.gamma_grid or not self.lambda_grid:
             raise ValueError("gamma and lambda grids must be nonempty")
+        for name in _LIST_KEYS:
+            entries = getattr(self, name)
+            if len(set(entries)) < len(entries):
+                raise ValueError(f"{name} {entries!r} repeats an entry")
         if self.max_dims < 1 or self.k_nn < 1:
             raise ValueError("max_dims and k_nn must be at least 1")
         if self.particles < 1 or self.iterations < 1:

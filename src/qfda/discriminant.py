@@ -14,11 +14,18 @@ lambda; the products are symmetrized, which leaves both traces unchanged.
 That cross term can make the quantized S_W indefinite; for the plain
 scatters S_W is semidefinite and |S_W| = S_W, so one pencil covers both.
 
+Each scatter is one product A (B - M)^T.  H and H_W, which applies each
+class's H_j to that class's columns, are symmetric, so A H B^T = A (B H)^T
+and sum_j A_j H_j B_j^T = A (B H_W)^T, where B H is B less its mean column
+and B H_W is B less each column's class mean.  The plain pair takes
+A = B = X; the quantized pair A = X' + lambda X and B = X'.
+
 Every scatter has the form X A X'^T, so it lives in the span of the stacked
 columns [X, X'].  When there are fewer of them than the d' coordinates, a
 ScatterPair keeps an orthonormal basis Q (d' x r, r <= 2n) of that span and
 the r x r scatters T = Q^T S_T Q and W = Q^T S_W Q, built by the same
-formulas on Q^T X and Q^T X'.  This is exact: S_T = Q T Q^T,
+products on the coordinates Q^T [X, X'], which are the R of the QR
+factorization [X, X'] = Q R that found Q.  This is exact: S_T = Q T Q^T,
 |S_W| = Q |W| Q^T, and outside span(Q) S_T = 0, so the pencil's eigenvalues
 there are 0 and its top p eigenpairs, when non-negative, are those of the
 r x r pencil (T, |W| + eps I) lifted by Q.  Solve cost therefore scales with
@@ -34,12 +41,6 @@ import scipy.linalg
 
 from .blockdct import SpectrumSet
 from .errors import ConsistencyError, DataError, NumericError
-
-
-def _centered_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A H B^T with H the centering matrix, without materializing H."""
-    bc = b - b.mean(axis=1, keepdims=True)
-    return a @ bc.T
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -79,33 +80,31 @@ class ScatterPair:
         return self.s_t - self.s_w
 
 
-def _class_slices(labels: np.ndarray):
-    for j in np.unique(labels):
-        yield np.flatnonzero(labels == j)
+def _span_coordinates(*blocks: np.ndarray):
+    """(Q, coordinates): an orthonormal basis Q of the blocks' stacked
+    columns and each block in it, the column blocks of the QR factor
+    R = Q^T [blocks].  With at least as many columns as rows, Q is None
+    (Q = I) and the blocks are their own coordinates."""
+    if sum(b.shape[1] for b in blocks) >= blocks[0].shape[0]:
+        return None, blocks
+    q, r = np.linalg.qr(np.hstack(blocks))
+    return q, np.hsplit(r, len(blocks))
 
 
-def _span_basis(*blocks: np.ndarray) -> np.ndarray | None:
-    """Orthonormal basis of the blocks' stacked columns; None (Q = I) when
-    there are at least as many columns as rows."""
-    stacked = np.hstack(blocks)
-    if stacked.shape[1] >= stacked.shape[0]:
-        return None
-    return np.linalg.qr(stacked)[0]
-
-
-def _in_basis(basis: np.ndarray | None, x: np.ndarray) -> np.ndarray:
-    return x if basis is None else basis.T @ x
+def _scatter_products(a: np.ndarray, b: np.ndarray, labels: np.ndarray):
+    """(A H B^T, A H_W B^T) as A (B - M)^T, with M the mean column of B and
+    then each column's class mean; class ids may come in any order, with gaps."""
+    _, cls, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    class_means = (b @ np.eye(counts.size)[cls]) / counts
+    s_t = a @ (b - b.mean(axis=1, keepdims=True)).T
+    s_w = a @ (b - class_means[:, cls]).T
+    return s_t, s_w
 
 
 def plain_scatters(spectra: SpectrumSet) -> ScatterPair:
     """S_T and S_W of unquantized spectra."""
-    basis = _span_basis(spectra.coeffs)
-    x = _in_basis(basis, spectra.coeffs)
-    s_t = _centered_product(x, x)
-    s_w = np.zeros_like(s_t)
-    for idx in _class_slices(spectra.labels):
-        xj = x[:, idx]
-        s_w += _centered_product(xj, xj)
+    basis, (x,) = _span_coordinates(spectra.coeffs)
+    s_t, s_w = _scatter_products(x, x, spectra.labels)
     return ScatterPair(s_t=s_t, s_w=s_w, lam=0.0, kind="plain", basis=basis)
 
 
@@ -117,16 +116,10 @@ def quantized_scatters(
         raise ConsistencyError("spectra and quantized spectra differ in shape")
     if not np.array_equal(spectra.labels, quantized.labels):
         raise ConsistencyError("spectra and quantized spectra labels differ")
-    basis = _span_basis(spectra.coeffs, quantized.coeffs)
-    x = _in_basis(basis, spectra.coeffs)
-    xq = _in_basis(basis, quantized.coeffs)
-    s_t = _sym(_centered_product(xq, xq) + lam * _centered_product(x, xq))
-    s_w = np.zeros_like(s_t)
-    for idx in _class_slices(spectra.labels):
-        xj, xqj = x[:, idx], xq[:, idx]
-        s_w += _sym(_centered_product(xqj, xqj) + lam * _centered_product(xj, xqj))
-    return ScatterPair(s_t=s_t, s_w=s_w, lam=float(lam), kind="quantized",
-                       basis=basis)
+    basis, (x, xq) = _span_coordinates(spectra.coeffs, quantized.coeffs)
+    s_t, s_w = _scatter_products(xq + lam * x, xq, spectra.labels)
+    return ScatterPair(s_t=_sym(s_t), s_w=_sym(s_w), lam=float(lam),
+                       kind="quantized", basis=basis)
 
 
 @dataclass
@@ -197,7 +190,7 @@ def criterion(pair: ScatterPair, subspace: Subspace, q: int | None = None) -> fl
     scatters; only the shift term needs U itself.
     """
     u = subspace.u if q is None else subspace.u[:, :q]
-    v = _in_basis(pair.basis, u)
+    v = u if pair.basis is None else pair.basis.T @ u
     num = np.trace(v.T @ pair.t @ v)
     den = np.trace(v.T @ pair.w @ v) + subspace.epsilon * np.trace(u.T @ u)
     if den <= 0:

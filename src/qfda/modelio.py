@@ -50,21 +50,24 @@ def save_subspace(path, subspace: Subspace) -> None:
 
 
 def load_subspace(path) -> Subspace:
+    """Read save_subspace's layout; a damaged file raises FormatError naming it."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != SUBSPACE_MAGIC:
-        raise FormatError(f"bad subspace magic {data[:4]!r}")
+        raise FormatError(f"{path}: bad subspace magic {data[:4]!r}")
     if len(data) < 20:
-        raise FormatError("truncated subspace header")
+        raise FormatError(f"{path}: truncated subspace header")
     d, p = struct.unpack_from("<2i", data, 4)
     (epsilon,) = struct.unpack_from("<d", data, 12)
     if d < 1 or p < 1:
-        raise FormatError(f"bad subspace shape {d} x {p}")
+        raise FormatError(f"{path}: bad subspace shape {d} x {p}")
     if len(data) != 20 + 8 * p * (d + 1):
-        raise FormatError(f"subspace payload is {len(data) - 20} bytes, "
+        raise FormatError(f"{path}: subspace payload is {len(data) - 20} bytes, "
                           f"expected {8 * p * (d + 1)} for {d} x {p}")
     u = np.frombuffer(data, dtype="<f8", count=d * p, offset=20).reshape(p, d).T.copy()
     vals = np.frombuffer(data, dtype="<f8", count=p, offset=20 + 8 * d * p).copy()
+    if not (np.isfinite(u).all() and np.isfinite(vals).all()):
+        raise FormatError(f"{path}: non-finite subspace directions or eigenvalues")
     return Subspace(u=u, eigenvalues=vals, epsilon=epsilon)
 
 

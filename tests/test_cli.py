@@ -183,10 +183,11 @@ class TestErrorPaths:
                                           "bootstrap_size=-1", "k_nn=100",
                                           "threads=0", "threads=-2",
                                           "split_seed=-1", "bootstrap_seed=-1",
-                                          "pso_seed=-1", "inertia=nan",
-                                          "cognitive=inf", "social=-inf",
-                                          "epsilon=inf", "gamma_grid=-5",
-                                          "gamma_grid=0.1,nan", "lambda_grid=inf"])
+                                          "pso_seed=-1", "epsilon=inf",
+                                          "gamma_grid=-5", "gamma_grid=0.1,nan",
+                                          "lambda_grid=inf", "classes=0,0,1",
+                                          "gamma_grid=0.1,0.1",
+                                          "lambda_grid=0.5,0.5"])
     def test_out_of_range_config_value(self, idx_paths, override, tmp_path,
                                        capsys):
         code = main(["grid"] + base_args(idx_paths, tmp_path)
@@ -194,6 +195,17 @@ class TestErrorPaths:
         assert code == 1
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "grid.csv").exists()
+
+    @pytest.mark.parametrize("fractions", [(1.2, -0.1, -0.1), (0, 0.5, 0.5)],
+                             ids=["above-one", "zero"])
+    def test_split_fraction_outside_unit_interval(self, idx_paths, fractions,
+                                                  tmp_path, capsys):
+        sets = []
+        for name, value in zip(("train", "val", "test"), fractions):
+            sets += ["--set", f"{name}_fraction={value}"]
+        code = main(["baseline"] + base_args(idx_paths, tmp_path) + sets)
+        assert code == 1
+        assert "error: bad config" in capsys.readouterr().err
 
     def test_threads_flag_is_validated(self, idx_paths, tmp_path, capsys):
         code = main(["grid"] + base_args(idx_paths, tmp_path) + ["--threads", "0"])
@@ -301,6 +313,31 @@ class TestDamagedModel:
         assert code == 1
         err = capsys.readouterr().err
         assert "error:" in err and "64" in err and "256" in err
+
+    @pytest.mark.parametrize("damage", ["nan-direction", "inf-eigenvalue",
+                                        "bad-magic", "truncated-header"])
+    def test_damaged_subspace_file_exits_1(self, idx_paths, model_dir, tmp_path,
+                                           damage, capsys):
+        model = tmp_path / "model"
+        shutil.copytree(model_dir / "model", model)
+        path = model / "subspace.bin"
+        sub = load_subspace(path)
+        if damage == "nan-direction":
+            sub.u[0, 0] = np.nan
+            save_subspace(path, sub)
+        elif damage == "inf-eigenvalue":
+            sub.eigenvalues[-1] = np.inf
+            save_subspace(path, sub)
+        elif damage == "bad-magic":
+            path.write_bytes(b"NOPE" + path.read_bytes()[4:])
+        else:
+            path.write_bytes(path.read_bytes()[:12])
+        code = main(["evaluate", "--model", str(model)]
+                    + base_args(idx_paths, tmp_path / "out"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and str(path) in err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key, value", [

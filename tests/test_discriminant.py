@@ -387,6 +387,51 @@ class TestSpanReduction:
             solve_subspace(pair, 6, EPS)
 
 
+def quantized_scatter_oracle(x, xq, labels, lam):
+    """The quantized scatters as a per-class loop of centered products."""
+    def centered(a, b):
+        return a @ (b - b.mean(axis=1, keepdims=True)).T
+
+    def sym(a):
+        return 0.5 * (a + a.T)
+
+    s_t = sym(centered(xq, xq) + lam * centered(x, xq))
+    s_w = np.zeros_like(s_t)
+    for j in np.unique(labels):
+        xj, xqj = x[:, labels == j], xq[:, labels == j]
+        s_w += sym(centered(xqj, xqj) + lam * centered(xj, xqj))
+    return s_t, s_w
+
+
+class TestClassCentering:
+    # unequal classes interleaved in a shuffled order, ids with gaps, one
+    # singleton; d' = 256 takes the basis path, d' = 64 < n the Q = I path
+    @pytest.mark.parametrize("d", [256, 64])
+    def test_scatters_match_per_class_loop(self, d):
+        rng = np.random.default_rng(35)
+        labels = rng.permutation(np.repeat([7, 3, 12], [40, 29, 1]))
+        x = rng.normal(0, 3, size=(d, labels.size))
+        x += 4 * rng.normal(size=(d, 13))[:, labels]
+        xq = np.round(x / 2) * 2
+        lam = 0.7
+
+        pair = plain_scatters(spectrum_set(x, labels))
+        assert (pair.basis is None) == (d < labels.size)
+        s_t, s_w, s_b = scatter_oracle(x, labels)
+        scale = np.abs(s_t).max()
+        np.testing.assert_allclose(pair.s_t, s_t, atol=1e-8 * scale)
+        np.testing.assert_allclose(pair.s_w, s_w, atol=1e-8 * scale)
+        np.testing.assert_allclose(pair.s_b, s_b, atol=1e-8 * scale)
+
+        mixed = quantized_scatters(spectrum_set(x, labels),
+                                   spectrum_set(xq, labels), lam)
+        assert (mixed.basis is None) == (d < labels.size)
+        s_t, s_w = quantized_scatter_oracle(x, xq, labels, lam)
+        scale = np.abs(s_t).max()
+        np.testing.assert_allclose(mixed.s_t, s_t, atol=1e-8 * scale)
+        np.testing.assert_allclose(mixed.s_w, s_w, atol=1e-8 * scale)
+
+
 class TestSubspaceIO:
     def test_round_trip_exact(self, tmp_path):
         pair = random_pd_pair(11, 20)
