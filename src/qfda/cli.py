@@ -11,31 +11,30 @@ import sys
 from pathlib import Path
 
 from .config import ExperimentConfig, apply_overrides, load_config
-from .errors import ConsistencyError, FormatError, QfdaError
+from .errors import ConsistencyError, DataError, FormatError, QfdaError
 from .experiment import (
     SPLITS,
     cost_context,
     export_eigenfaces,
     export_quantized_images,
-    levels_csv,
     prepare,
     pso_config,
     quantized_reports,
     read_errors,
     run_baseline_fda,
     run_experiment,
-    trace_csv,
+    search_model,
     write_errors,
+    write_search,
     write_splits,
-    write_text,
 )
-from .modelio import ModelBundle, load_model, save_model
+from .modelio import load_model, save_model
 from .pso import run_pso
 from .quantizer import QuantizerSpec
 
 
-def _build_config(args) -> ExperimentConfig:
-    flags = {}
+def _build_config(args, **fields) -> ExperimentConfig:
+    flags = dict(fields)
     if args.output_dir:
         flags["output_dir"] = args.output_dir
     if args.threads is not None:
@@ -73,19 +72,15 @@ def _cmd_prepare(args):
 
 
 def _cmd_optimize(args):
-    cfg = _build_config(args)
+    # a one-cell grid, so gamma and lambda pass the grid keys' checks
+    cfg = _build_config(args, gamma_grid=[args.gamma], lambda_grid=[args.lam])
     prepared = prepare(cfg)
     ctx = cost_context(prepared, cfg)
     result = run_pso(ctx, pso_config(cfg, args.gamma, args.lam), threads=cfg.threads)
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_text(out / "levels.csv", levels_csv(result.best))
-    write_text(out / "trace.csv", trace_csv(result))
-    bundle = ModelBundle(bounds=ctx.bounds, levels=result.best,
-                         subspace=result.breakdown.subspace,
-                         layout=prepared.layout, gamma=args.gamma, lam=args.lam,
-                         breakdown=result.breakdown)
-    save_model(out / "model", bundle)
+    write_search(out, result)
+    save_model(out / "model",
+               search_model(ctx.bounds, result, prepared.layout, args.gamma, args.lam))
     print(f"best cost {result.breakdown.total:.6f} "
           f"(criterion {result.breakdown.criterion:.6f}, "
           f"rate {result.breakdown.rate:.4f} bits) "
@@ -157,18 +152,19 @@ def _cmd_export_quantized(args):
 def _cmd_report(args):
     cfg = _build_config(args)
     out = Path(cfg.output_dir)
-    for name in ("grid.csv", "levels.csv"):
-        path = out / name
+    tables = [out / "grid.csv", out / "levels.csv"]
+    errors = {f"{method} {split}": out / f"errors_{method}_{split}.csv"
+              for method in ("fda", "qfda") for split in SPLITS}
+    if not any(path.exists() for path in tables + list(errors.values())):
+        raise DataError(f"{out}: no grid.csv, levels.csv or errors_*.csv to report")
+    for path in tables:
         if path.exists():
-            print(f"== {name} ==")
+            print(f"== {path.name} ==")
             print(path.read_text(encoding="utf-8").rstrip())
-    for method in ("fda", "qfda"):
-        for split in SPLITS:
-            path = out / f"errors_{method}_{split}.csv"
-            if not path.exists():
-                continue
+    for name, path in errors.items():
+        if path.exists():
             mean, std = read_errors(path)
-            print(f"{method} {split}: mean {mean:.4f} +- {std:.4f}")
+            print(f"{name}: mean {mean:.4f} +- {std:.4f}")
 
 
 def build_parser() -> argparse.ArgumentParser:

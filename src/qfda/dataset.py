@@ -157,6 +157,8 @@ def load_idx(images_path, labels_path=None) -> RawImageSet:
 
 def write_idx(dataset: RawImageSet, images_path, labels_path) -> None:
     """Write a RawImageSet back out as an IDX image/label file pair."""
+    if dataset.n and dataset.labels.max() > 255:
+        raise FormatError(f"{labels_path}: label {dataset.labels.max()} does not fit in one byte")
     pixels = np.clip(np.rint(dataset.pixels), 0, 255).astype(np.uint8)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, dataset.n,
@@ -193,8 +195,10 @@ def read_pgm(path) -> np.ndarray:
     pos += 1  # single whitespace byte separates header from raster
 
     width, height, maxval = tokens
-    if maxval > 255:
-        raise FormatError(f"{path}: 16-bit PGM (maxval={maxval}) not supported")
+    if not 1 <= maxval <= 255:
+        raise FormatError(f"{path}: PGM maxval {maxval} outside 1..255")
+    if width < 1 or height < 1:
+        raise FormatError(f"{path}: PGM size {width}x{height} has no pixels")
     raster = data[pos:pos + width * height]
     if len(raster) != width * height:
         raise FormatError(f"{path}: truncated PGM raster")

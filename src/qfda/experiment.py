@@ -289,20 +289,18 @@ def finalize_model(prepared: PreparedData, config: ExperimentConfig, grid: GridR
     are scored.
     """
     cell = grid.chosen
-    spec = QuantizerSpec(bounds=grid.bounds, levels=cell.pso.best)
-    sub = cell.pso.breakdown.subspace
-    scored = quantized_reports(sub, spec, prepared, config, ("train", "test"))
+    bundle = search_model(grid.bounds, cell.pso, prepared.layout, cell.gamma, cell.lam)
+    spec = QuantizerSpec(bounds=bundle.bounds, levels=bundle.levels)
+    scored = quantized_reports(bundle.subspace, spec, prepared, config, ("train", "test"))
     reports = {"train": scored["train"], "val": cell.val_report, "test": scored["test"]}
-    bundle = ModelBundle(
-        bounds=grid.bounds,
-        levels=cell.pso.best,
-        subspace=sub,
-        layout=prepared.layout,
-        gamma=cell.gamma,
-        lam=cell.lam,
-        breakdown=cell.pso.breakdown,
-    )
     return bundle, reports
+
+
+def search_model(bounds: BoundVector, pso: PsoResult, layout: BlockLayout,
+                 gamma: float, lam: float) -> ModelBundle:
+    """The model one swarm search found: its best levels and their subspace."""
+    return ModelBundle(bounds=bounds, levels=pso.best, subspace=pso.breakdown.subspace,
+                       layout=layout, gamma=gamma, lam=lam, breakdown=pso.breakdown)
 
 
 def _normalize_to_byte(image: np.ndarray) -> np.ndarray:
@@ -425,6 +423,14 @@ def write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
+def write_search(directory, pso: PsoResult) -> None:
+    """levels.csv and trace.csv of one swarm search."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    write_text(directory / "levels.csv", levels_csv(pso.best))
+    write_text(directory / "trace.csv", trace_csv(pso))
+
+
 def write_errors(output_dir, method: str, reports: dict) -> None:
     """One errors_{method}_{split}.csv per report."""
     output_dir = Path(output_dir)
@@ -466,15 +472,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     grid = run_grid(prepared, config)
     write_text(out / "grid.csv", grid_csv(grid, config))
     for cell in grid.cells:
-        cell_dir = out / f"cell_g{_fmt(cell.gamma)}_l{_fmt(cell.lam)}"
-        cell_dir.mkdir(exist_ok=True)
-        write_text(cell_dir / "trace.csv", trace_csv(cell.pso))
-        write_text(cell_dir / "levels.csv", levels_csv(cell.pso.best))
+        write_search(out / f"cell_g{_fmt(cell.gamma)}_l{_fmt(cell.lam)}", cell.pso)
 
     bundle, qfda_reports = finalize_model(prepared, config, grid)
     write_errors(out, "qfda", qfda_reports)
-    write_text(out / "levels.csv", levels_csv(bundle.levels))
-    write_text(out / "trace.csv", trace_csv(grid.chosen.pso))
+    write_search(out, grid.chosen.pso)
     save_model(out / "model", bundle)
 
     export_eigenfaces(

@@ -4,17 +4,16 @@ Every frequency k shares one staircase across all blocks and images, built
 from a clipping bound ell_k and a level count m_k in {2, ..., ell_k}:
 
     t1 = (m_k + 2) / 2 if m_k is even else (m_k + 1) / 2
-    t2 = ell_k (t1 - 2) / t1
 
-values are clipped to [-ell_k, ell_k]; for even m_k everything at or below
--t2 collapses to -t2; the staircase then maps a value to
+The staircase maps a value to
 
     sign(x) * ell_k / (t1 - 1) * floor(t1 |x| / ell_k)
 
-with the floor result capped at t1 - 1 so the top output level is exactly
-ell_k.  The floor is evaluated by comparing |x| against the breakpoints
-j * ell_k / t1, which is exact in IEEE doubles at the -t2 collapse point
-where the naive floor can land one level low.
+with the floor result capped at t1 - 1 for x >= 0, so the top output level
+is exactly ell_k, and at m_k - t1 for x < 0, so the negative side has
+m_k - t1 levels.  The floor is evaluated by comparing |x| against the
+breakpoints j * ell_k / t1, which is exact in IEEE doubles where the naive
+floor can land one level low.
 """
 
 from dataclasses import dataclass
@@ -80,12 +79,11 @@ def staircase_params(ell: int, m: int):
 
 def quantize_values(values: np.ndarray, ell: int, m: int) -> np.ndarray:
     """Apply one frequency's staircase to an array of coefficients."""
-    t1, t2, step, breakpoints = staircase_params(int(ell), int(m))
-    x = np.clip(values, -float(ell), float(ell))
-    if m % 2 == 0:
-        x = np.where(x <= -t2, -t2, x)
-    level = np.searchsorted(breakpoints, np.abs(x), side="right")
-    return np.sign(x) * step * level
+    t1, _, step, breakpoints = staircase_params(int(ell), int(m))
+    level = np.searchsorted(breakpoints, np.abs(values), side="right")
+    if m % 2 == 0:  # for odd m, m - t1 = t1 - 1 is already the top level
+        level = np.where(values < 0, np.minimum(level, m - t1), level)
+    return np.sign(values) * step * level
 
 
 @dataclass(frozen=True)
@@ -100,16 +98,19 @@ class QuantizerSpec:
         if (m < 2).any() or (m > ell).any():
             raise ValueError("levels must satisfy 2 <= m_k <= ell_k")
 
-    def params(self, k: int):
-        return staircase_params(int(self.bounds.ell[k]), int(self.levels.m[k]))
+    def edges(self, k: int) -> np.ndarray:
+        """The m_k - 1 finite cell edges of frequency k, ascending.
+
+        The negative side keeps the first m_k - t1 breakpoints.  An edge
+        belongs to the cell farther from zero.
+        """
+        m = int(self.levels.m[k])
+        t1, _, _, breakpoints = staircase_params(int(self.bounds.ell[k]), m)
+        return np.concatenate([-breakpoints[: m - t1][::-1], breakpoints])
 
 
 def bootstrap_indices(n: int, s: int, seed: int) -> np.ndarray:
-    """Seeded with-replacement sample of s image indices out of n.
-
-    Shared by bound estimation and density fitting so both see the same
-    images for a given (s, seed).
-    """
+    """Seeded with-replacement sample of s image indices out of n."""
     if n < 1:
         raise DataError("cannot bootstrap from an empty set")
     if s < 1:
@@ -117,18 +118,24 @@ def bootstrap_indices(n: int, s: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).integers(0, n, size=s)
 
 
+def bootstrap_frequencies(train: SpectrumSet, s: int, seed: int) -> np.ndarray:
+    """(64, N) coefficients of a bootstrap sample, image-major, per frequency.
+
+    Every block of the s images bootstrap_indices(train.n, s, seed) draws is
+    pooled; estimate_bounds and fit_density both read this pool.
+    """
+    idx = bootstrap_indices(train.n, s, seed)
+    sub = train.coeffs[:, idx].reshape(train.layout.blocks_per_image, NUM_FREQUENCIES, s)
+    return np.transpose(sub, (2, 0, 1)).reshape(-1, NUM_FREQUENCIES).T.copy()
+
+
 def estimate_bounds(train: SpectrumSet, s: int, seed: int) -> BoundVector:
     """Per-frequency bounds: round the max |coefficient| over a bootstrap.
 
-    The max runs over all blocks of the sampled images; the result is
+    The max runs over the bootstrap_frequencies pool; the result is
     floored at 2 so the admissible level set {2..ell_k} is never empty.
     """
-    if train.n < 1:
-        raise DataError("cannot estimate bounds from an empty training set")
-    idx = bootstrap_indices(train.n, s, seed)
-    blocks = train.layout.blocks_per_image
-    sampled = np.abs(train.coeffs[:, idx]).reshape(blocks, NUM_FREQUENCIES, -1)
-    peak = sampled.max(axis=(0, 2))
+    peak = np.abs(bootstrap_frequencies(train, s, seed)).max(axis=1)
     ell = np.maximum(2, np.floor(peak + 0.5).astype(np.int64))
     return BoundVector(ell=ell, bootstrap_seed=seed, bootstrap_size=s)
 

@@ -1,9 +1,10 @@
 """Entropy-based rate model for quantized DCT frequencies.
 
 Each frequency's coefficient distribution is estimated with a Gaussian
-kernel density over a bootstrap sample.  The probability mass p_t landing
-in each quantization interval comes from the closed-form mixture CDF, and
-the per-frequency rate is the interval entropy
+kernel density over the bootstrap sample quantizer.bootstrap_frequencies
+draws.  The probability mass p_t landing in each cell of the staircase,
+whose edges QuantizerSpec.edges gives, comes from the closed-form mixture
+CDF, and the per-frequency rate is the interval entropy
 
     r_k = -sum_t p_t log2 p_t        (0 log 0 = 0)
 
@@ -20,8 +21,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .blockdct import SpectrumSet
-from .errors import DataError
-from .quantizer import NUM_FREQUENCIES, QuantizerSpec, bootstrap_indices
+from .quantizer import NUM_FREQUENCIES, QuantizerSpec, bootstrap_frequencies
 
 BANDWIDTH_FLOOR = 1e-6
 
@@ -66,17 +66,11 @@ def silverman_bandwidth(samples: np.ndarray) -> np.ndarray:
 
 
 def fit_density(train: SpectrumSet, s: int, seed: int) -> FrequencyDensity:
-    """Fit per-frequency KDEs over the bootstrap sample used for bounds.
+    """Fit per-frequency KDEs over the pool bootstrap_frequencies draws.
 
-    Passing the same (s, seed) as estimate_bounds reuses the identical image
-    sample; all blocks of every sampled image are pooled per frequency.
+    Passing the same (s, seed) as estimate_bounds reuses the identical pool.
     """
-    if train.n < 1:
-        raise DataError("cannot fit densities to an empty training set")
-    idx = bootstrap_indices(train.n, s, seed)
-    blocks = train.layout.blocks_per_image
-    sub = train.coeffs[:, idx].reshape(blocks, NUM_FREQUENCIES, len(idx))
-    samples = np.transpose(sub, (2, 0, 1)).reshape(-1, NUM_FREQUENCIES).T.copy()
+    samples = bootstrap_frequencies(train, s, seed)
     return FrequencyDensity(
         samples=samples,
         bandwidth=silverman_bandwidth(samples),
@@ -88,16 +82,11 @@ def fit_density(train: SpectrumSet, s: int, seed: int) -> FrequencyDensity:
 def interval_partition(spec: QuantizerSpec, k: int):
     """Preimage intervals of the m_k output levels, ordered left to right.
 
-    Returned as (lower, upper) float pairs covering the whole real line;
-    the outermost bounds are -inf/+inf because clipping folds the tails
-    into the extreme levels.  Negative finite boundaries belong to the
-    interval on their left, positive ones to the interval on their right.
+    Returned as (lower, upper) float pairs covering the whole real line:
+    the finite bounds are QuantizerSpec.edges(k), and the outermost are
+    -inf/+inf because the tails fold into the extreme levels.
     """
-    t1, _, _, breakpoints = spec.params(k)
-    m = int(spec.levels.m[k])
-    negatives = breakpoints[: t1 - 1 if m % 2 else t1 - 2]
-    edges = np.concatenate([-negatives[::-1], breakpoints])
-    bounds = np.concatenate([[-np.inf], edges, [np.inf]])
+    bounds = np.concatenate([[-np.inf], spec.edges(k), [np.inf]])
     return list(zip(bounds[:-1], bounds[1:]))
 
 

@@ -107,6 +107,16 @@ class TestOptimizeEvaluateExport:
         err = capsys.readouterr().err
         assert "error:" in err and "16x16" in err and "8x8" in err
 
+    def test_optimize_matches_the_grid_cell(self, idx_paths, tmp_path):
+        opt, grid = tmp_path / "opt", tmp_path / "grid"
+        args = ["--seed", "4", "--set", "particles=2", "--set", "iterations=2"]
+        assert main(["optimize", "--gamma", "1.0", "--lambda", "2.0"]
+                    + base_args(idx_paths, opt) + args) == 0
+        assert main(["grid"] + base_args(idx_paths, grid) + args
+                    + ["--set", "gamma_grid=1.0", "--set", "lambda_grid=2.0"]) == 0
+        for name in ("levels.csv", "trace.csv", "model/model.json", "model/subspace.bin"):
+            assert (opt / name).read_bytes() == (grid / name).read_bytes(), name
+
     def test_export_commands(self, idx_paths, model_dir, tmp_path, capsys):
         out = tmp_path / "exports"
         code = main(["export-eigenfaces", "--model", str(model_dir / "model"),
@@ -271,6 +281,22 @@ class TestErrorPaths:
         assert main(["report", "--output-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and str(path) in err
+
+    @pytest.mark.parametrize("gamma, lam", [("-5", "0.5"), ("nan", "0.5"),
+                                            ("0.1", "inf"), ("0.1", "nan")])
+    def test_optimize_checks_gamma_and_lambda_like_the_grid(self, idx_paths, gamma, lam,
+                                                            tmp_path, capsys):
+        code = main(["optimize", "--gamma", gamma, "--lambda", lam]
+                    + base_args(idx_paths, tmp_path))
+        assert code == 1
+        assert "error: bad config" in capsys.readouterr().err
+        assert not (tmp_path / "levels.csv").exists()
+
+    def test_report_without_results_exits_1(self, tmp_path, capsys):
+        missing = tmp_path / "no-such-run"
+        assert main(["report", "--output-dir", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and str(missing) in err
 
     def test_too_few_training_images_for_max_dims(self, idx_paths, tmp_path,
                                                   capsys):

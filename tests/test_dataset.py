@@ -129,6 +129,13 @@ class TestIdxFiles:
         with pytest.raises(FormatError, match=re.escape(str(paths[name]))):
             load_idx(paths["images"], paths["labels"])
 
+    def test_label_above_one_byte_rejected(self, tmp_path):
+        ds = small_set()
+        ds.labels[4] = 300
+        ip, lp = tmp_path / "h-images-idx3-ubyte", tmp_path / "h-labels-idx1-ubyte"
+        with pytest.raises(FormatError, match=re.escape(f"{lp}: label 300")):
+            write_idx(ds, ip, lp)
+
     def test_label_count_disagrees(self, tmp_path):
         ds = small_set()
         ip, lp = tmp_path / "e-images-idx3-ubyte", tmp_path / "e-labels-idx1-ubyte"
@@ -161,6 +168,16 @@ class TestPgm:
         path = tmp_path / "w.pgm"
         path.write_bytes(b"P5\n2 2\n65535\n" + b"\x00" * 8)
         with pytest.raises(FormatError):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("header, value", [(b"2 2\n0\n", "maxval 0"),
+                                               (b"0 0\n255\n", "size 0x0"),
+                                               (b"3 0\n255\n", "size 3x0")],
+                             ids=["zero-maxval", "empty", "zero-height"])
+    def test_bad_header_value_rejected(self, tmp_path, header, value):
+        path = tmp_path / "v.pgm"
+        path.write_bytes(b"P5\n" + header + b"\x00\x01\x02\x03")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: PGM {value}")):
             read_pgm(path)
 
     def test_truncated_raster(self, tmp_path):

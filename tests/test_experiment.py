@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from qfda.discriminant import (
 from qfda.errors import ConsistencyError, DataError
 from qfda.experiment import (
     EvalReport,
+    cost_context,
     errors_csv,
     evaluate_subspace,
     export_eigenfaces,
@@ -32,6 +34,7 @@ from qfda.experiment import (
     trace_csv,
 )
 from qfda.modelio import load_model, save_model
+from qfda.pso import evaluate_cost
 from qfda.quantizer import QuantizerSpec, estimate_bounds, quantize
 
 from helpers import gaussian_class_spectra, write_two_class_idx
@@ -470,3 +473,17 @@ class TestOneSolvePerLevelVector:
         _, result = experiment
         assert result.bundle.breakdown.subspace is result.bundle.subspace
         assert load_model(result.output_dir / "model").breakdown.subspace is None
+
+
+class TestObjectiveScale:
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 2: with n < d' the quantized criterion "
+                              "f_Q scales as 1/epsilon")
+    def test_criterion_does_not_track_epsilon(self, tmp_path):
+        images, _ = write_two_class_idx(tmp_path, n=200)
+        config = ExperimentConfig(dataset_path=str(images), output_dir=str(tmp_path))
+        ctx = cost_context(prepare(config), config)
+        m = np.maximum(2, ctx.bounds.ell // 2)  # admissible: 2 <= m_k <= ell_k
+        f_q = [evaluate_cost(m, dataclasses.replace(ctx, epsilon=eps), 0.0, 0.5).criterion
+               for eps in (1e-9, 1e-7, 1e-5)]
+        assert max(f_q) < 1.01 * min(f_q), f_q
