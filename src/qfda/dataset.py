@@ -159,7 +159,10 @@ def write_idx(dataset: RawImageSet, images_path, labels_path) -> None:
     """Write a RawImageSet back out as an IDX image/label file pair."""
     if dataset.n and dataset.labels.max() > 255:
         raise FormatError(f"{labels_path}: label {dataset.labels.max()} does not fit in one byte")
-    pixels = np.clip(np.rint(dataset.pixels), 0, 255).astype(np.uint8)
+    outside = ~((dataset.pixels >= 0) & (dataset.pixels <= 255))
+    if outside.any():
+        raise DataError(f"{images_path}: pixel {dataset.pixels[outside][0]} outside 0..255")
+    pixels = np.rint(dataset.pixels).astype(np.uint8)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, dataset.n,
                             dataset.height, dataset.width))
@@ -170,7 +173,10 @@ def write_idx(dataset: RawImageSet, images_path, labels_path) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a binary (P5) PGM with maxval <= 255 into a (h, w) uint8 array."""
+    """Read a binary (P5) PGM with maxval <= 255 into a (h, w) float64 array.
+
+    Pixels are rescaled from 0..maxval to the 0..255 scale of RawImageSet.
+    """
     with open(path, "rb") as f:
         data = f.read()
     if data[:2] != b"P5":
@@ -202,7 +208,10 @@ def read_pgm(path) -> np.ndarray:
     raster = data[pos:pos + width * height]
     if len(raster) != width * height:
         raise FormatError(f"{path}: truncated PGM raster")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+    pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+    if pixels.max() > maxval:
+        raise FormatError(f"{path}: PGM pixel {pixels.max()} above maxval {maxval}")
+    return pixels * 255.0 / maxval
 
 
 def write_pgm(path, image: np.ndarray) -> None:
@@ -260,7 +269,7 @@ def load_pgm_dir(path, class_map=None) -> RawImageSet:
                 raise ConsistencyError(
                     f"{pgm_path}: size {img.shape} differs from {dims}"
                 )
-            columns.append(img.astype(np.float64).ravel())
+            columns.append(img.ravel())
             labels.append(class_id)
     if not columns:
         raise ConsistencyError(f"{path}: class subdirectories contain no PGM files")

@@ -13,6 +13,15 @@ averaged over the 64 frequencies to a single scalar.
 r_k depends only on (ell_k, m_k) and on the density, which is fitted once
 per run, so each term is computed once and stored on the density under
 (k, ell_k, m_k); every later evaluation, in any thread, reads it back.
+
+A CDF value is the mean of ndtr((x - sample) / h) over the samples, and
+only the samples within SATURATION bandwidths of x can move it.  ndtr
+rounds to exactly 1.0 from about z = 8.29 on, so a sample at z >= SATURATION
+adds exactly its count; one at z <= -SATURATION adds at most 5.3e-17, so
+leaving all of those out moves the mean by less than half the spacing of
+doubles near 1.  The density keeps each frequency's samples sorted and
+de-duplicated (a bootstrap pool repeats whole images), so the saturated
+samples are one cumulative count and ndtr runs only on the window between.
 """
 
 from dataclasses import dataclass, field
@@ -24,15 +33,17 @@ from .blockdct import SpectrumSet
 from .quantizer import NUM_FREQUENCIES, QuantizerSpec, bootstrap_frequencies
 
 BANDWIDTH_FLOOR = 1e-6
+SATURATION = 8.3  # |z| beyond which a kernel's CDF term is 0 or 1 to rounding
 
 
 @dataclass(frozen=True)
 class FrequencyDensity:
     """Gaussian-KDE model per frequency: sample points plus bandwidths.
 
-    `rates` holds every r_k computed so far, keyed by (k, ell_k, m_k), for
-    the life of the density; `samples` and `bandwidth` must therefore not
-    be changed after fitting.
+    `rates` holds every r_k computed so far, keyed by (k, ell_k, m_k), and
+    `support` holds each frequency's sorted distinct samples, their counts
+    and the cumulative counts before each, for the life of the density;
+    `samples` and `bandwidth` must therefore not be changed after fitting.
     """
 
     samples: np.ndarray    # (64, N) pooled coefficients, image-major order
@@ -40,6 +51,7 @@ class FrequencyDensity:
     seed: int
     s: int
     rates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    support: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.samples.ndim != 2 or self.samples.shape[0] != NUM_FREQUENCIES:
@@ -48,12 +60,36 @@ class FrequencyDensity:
             raise ValueError("every frequency needs at least one sample")
         if (self.bandwidth <= 0).any():
             raise ValueError("bandwidths must be positive")
+        support = []
+        for row in self.samples:
+            values, counts = np.unique(row, return_counts=True)
+            support.append((values, counts.astype(np.float64),
+                            np.concatenate([[0.0], np.cumsum(counts, dtype=np.float64)])))
+        object.__setattr__(self, "support", tuple(support))
 
     def cdf(self, k: int, x) -> np.ndarray:
-        """Mixture CDF of frequency k evaluated at x (scalar or array)."""
+        """Mixture CDF of frequency k evaluated at x (scalar or array).
+
+        Samples at least SATURATION bandwidths below x count in full and
+        those as far above are left out; ndtr runs on the samples between,
+        so the value equals the sum over every sample up to rounding.
+        """
         x = np.asarray(x, dtype=np.float64)
-        z = (x[..., None] - self.samples[k]) / self.bandwidth[k]
-        return ndtr(z).mean(axis=-1)
+        values, counts, before = self.support[k]
+        h = self.bandwidth[k]
+        flat = x.ravel()
+        lo = np.searchsorted(values, flat - SATURATION * h, side="right")
+        width = np.searchsorted(values, flat + SATURATION * h, side="left") - lo
+        # edge i's terms are starts[i]:starts[i] + width[i] of one flat array
+        starts = np.cumsum(width) - width
+        window = np.arange(width.sum()) + np.repeat(lo - starts, width)
+        z = (np.repeat(flat, width) - values[window]) / h
+        terms = counts[window] * ndtr(z)
+        inside = np.zeros(flat.shape)
+        nonempty = width > 0
+        if nonempty.any():
+            inside[nonempty] = np.add.reduceat(terms, starts[nonempty])
+        return ((before[lo] + inside) / self.samples.shape[1]).reshape(x.shape)
 
 
 def silverman_bandwidth(samples: np.ndarray) -> np.ndarray:

@@ -136,6 +136,17 @@ class TestIdxFiles:
         with pytest.raises(FormatError, match=re.escape(f"{lp}: label 300")):
             write_idx(ds, ip, lp)
 
+    @pytest.mark.parametrize("value", [300.0, -20.0, np.nan, np.inf],
+                             ids=["above", "below", "nan", "inf"])
+    def test_pixel_outside_byte_range_rejected(self, tmp_path, value):
+        # pixels used to be clamped: 300 and -20 came back as 255 and 0
+        ds = small_set()
+        ds.pixels[5, 2] = value
+        ip, lp = tmp_path / "p-images-idx3-ubyte", tmp_path / "p-labels-idx1-ubyte"
+        with pytest.raises(DataError, match=re.escape(f"{ip}: pixel {value}")):
+            write_idx(ds, ip, lp)
+        assert not ip.exists()
+
     def test_label_count_disagrees(self, tmp_path):
         ds = small_set()
         ip, lp = tmp_path / "e-images-idx3-ubyte", tmp_path / "e-labels-idx1-ubyte"
@@ -178,6 +189,17 @@ class TestPgm:
         path = tmp_path / "v.pgm"
         path.write_bytes(b"P5\n" + header + b"\x00\x01\x02\x03")
         with pytest.raises(FormatError, match=re.escape(f"{path}: PGM {value}")):
+            read_pgm(path)
+
+    def test_maxval_rescaled_to_byte_scale(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5 2 2 15\n\x00\x0f\x05\x07")
+        np.testing.assert_array_equal(read_pgm(path), [[0, 255], [85, 119]])
+
+    def test_pixel_above_maxval_rejected(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5 2 2 15\n\x00\x0f\xff\x07")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: PGM pixel 255 above maxval 15")):
             read_pgm(path)
 
     def test_truncated_raster(self, tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from qfda.blockdct import forward_dct
 from qfda.dataset import CenteredImageSet
@@ -13,6 +14,7 @@ from qfda.quantizer import (
 )
 from qfda.rate import (
     BANDWIDTH_FLOOR,
+    SATURATION,
     FrequencyDensity,
     fit_density,
     interval_masses,
@@ -282,3 +284,67 @@ class TestDensityValidation:
         assert (np.diff(vals) >= 0).all()
         assert vals[0] == pytest.approx(0.0, abs=1e-12)
         assert vals[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestWindowedCdf:
+    """cdf sums over a window of distinct samples; the full sum is the oracle."""
+
+    @staticmethod
+    def full_sum(density, k, x):
+        x = np.asarray(x, dtype=np.float64)
+        return ndtr((x[..., None] - density.samples[k]) / density.bandwidth[k]).mean(-1)
+
+    def assert_matches_full_sum(self, density, k, x):
+        got = density.cdf(k, x)
+        want = self.full_sum(density, k, x)
+        assert got.shape == np.shape(x)
+        gap = np.abs(got - want).max()
+        assert gap <= 1e-12, f"largest gap {gap:.3g} at frequency {k}"
+
+    def bootstrap_density(self):
+        # whole images drawn with replacement repeat their coefficients
+        rng = np.random.default_rng(21)
+        images = rng.normal(0, rng.uniform(0.5, 40, size=(64, 1)), size=(64, 150))
+        samples = images[:, rng.integers(0, 150, size=1200)]
+        return FrequencyDensity(samples=samples,
+                                bandwidth=silverman_bandwidth(samples), seed=0, s=150)
+
+    def test_repeated_bootstrap_samples(self):
+        density = self.bootstrap_density()
+        for k in (0, 9, 63):
+            values, counts, before = density.support[k]
+            assert len(values) < density.samples.shape[1]
+            assert counts.sum() == before[-1] == density.samples.shape[1]
+            lo, hi = values[0], values[-1]
+            self.assert_matches_full_sum(density, k, np.linspace(lo, hi, 37))
+
+    def test_edges_far_in_both_tails(self):
+        density = self.bootstrap_density()
+        for k in (3, 40):
+            values, _, _ = density.support[k]
+            h = density.bandwidth[k]
+            x = np.array([-1e6, values[0] - 40 * h, values[0] - SATURATION * h,
+                          values[0], values[-1], values[-1] + SATURATION * h,
+                          values[-1] + 40 * h, 1e6])
+            self.assert_matches_full_sum(density, k, x)
+            assert density.cdf(k, -1e6) == 0.0
+            assert density.cdf(k, 1e6) == 1.0
+
+    def test_constant_row_at_bandwidth_floor(self):
+        # even frequencies hold one value; odd ones a second value in a third
+        samples = np.tile(np.arange(64.0)[:, None], (1, 30))
+        samples[1::2, ::3] += 0.5
+        density = FrequencyDensity(samples=samples,
+                                   bandwidth=np.full(64, BANDWIDTH_FLOOR), seed=0, s=30)
+        for k, mass_below in [(0, 1.0), (7, 2 / 3)]:
+            x = k + np.array([-1.0, -3e-6, 0.0, 2e-6, 0.25, 0.5, 0.5 + 1e-6, 2.0])
+            self.assert_matches_full_sum(density, k, x)
+            assert density.cdf(k, k) == pytest.approx(mass_below / 2, abs=1e-15)
+            assert density.cdf(k, k + 0.25) == pytest.approx(mass_below, abs=1e-15)
+
+    def test_scalar_and_2d_points(self):
+        density = self.bootstrap_density()
+        values = density.support[5][0]
+        self.assert_matches_full_sum(density, 5, float(np.median(values)))
+        grid = np.linspace(values[0] - 1, values[-1] + 1, 24).reshape(4, 6)
+        self.assert_matches_full_sum(density, 5, grid)
