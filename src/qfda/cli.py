@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .config import ExperimentConfig, apply_overrides, load_config
-from .errors import ConsistencyError, DataError, FormatError, QfdaError
+from .errors import ConsistencyError, DataError, FormatError, QfdaError, read_text
 from .experiment import (
     SPLITS,
     cost_context,
@@ -160,7 +160,7 @@ def _cmd_report(args):
     for path in tables:
         if path.exists():
             print(f"== {path.name} ==")
-            print(path.read_text(encoding="utf-8").rstrip())
+            print(read_text(path).rstrip())
     for name, path in errors.items():
         if path.exists():
             mean, std = read_errors(path)

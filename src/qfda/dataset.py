@@ -17,6 +17,7 @@ from .errors import (
     FormatError,
     SizeError,
     SplitError,
+    read_text,
 )
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -229,7 +230,7 @@ def write_pgm(path, image: np.ndarray) -> None:
 def parse_class_map(path) -> dict:
     """Read a 'subdirectory = class_id' map file ('#' starts a comment)."""
     mapping = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in read_text(path).splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -294,36 +295,19 @@ def subset(dataset: RawImageSet, indices) -> RawImageSet:
 
 
 def select_classes(dataset: RawImageSet, classes, per_class=None) -> RawImageSet:
-    """Keep only the listed classes, relabeled densely to 0..len(classes)-1.
+    """Keep only the listed classes, with their class ids unchanged.
 
     ``per_class`` caps how many images of each class are kept (first in
     corpus order), so a small deterministic subset can be carved out of a
-    large file.  A listed class with no images raises DataError.
+    large file; the kept images stay in corpus order.  A listed class with
+    no images raises DataError.
     """
-    classes = sorted(int(c) for c in classes)
-    missing = sorted(set(classes) - set(dataset.labels.tolist()))
+    classes = sorted({int(c) for c in classes})
+    missing = np.setdiff1d(classes, dataset.labels).tolist()
     if missing:
         raise DataError(f"requested classes with no images: {missing}")
-    remap = {c: i for i, c in enumerate(classes)}
-    keep = []
-    taken = {c: 0 for c in classes}
-    for i, label in enumerate(dataset.labels):
-        label = int(label)
-        if label not in remap:
-            continue
-        if per_class is not None and taken[label] >= per_class:
-            continue
-        taken[label] += 1
-        keep.append(i)
-    keep = np.array(keep, dtype=np.int64)
-    relabeled = np.array([remap[int(l)] for l in dataset.labels[keep]],
-                         dtype=np.int64)
-    return RawImageSet(
-        pixels=dataset.pixels[:, keep].copy(),
-        height=dataset.height,
-        width=dataset.width,
-        labels=relabeled,
-    )
+    keep = [np.flatnonzero(dataset.labels == c)[:per_class] for c in classes]
+    return subset(dataset, np.sort(np.concatenate(keep)))
 
 
 def split_indices(dataset: RawImageSet, spec: SplitSpec):

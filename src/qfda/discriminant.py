@@ -21,16 +21,17 @@ and B H_W is B less each column's class mean.  The plain pair takes
 A = B = X; the quantized pair A = X' + lambda X and B = X'.
 
 Every scatter has the form X A X'^T, so it lives in the span of the stacked
-columns [X, X'].  When there are fewer of them than the d' coordinates, a
-ScatterPair keeps an orthonormal basis Q (d' x r, r <= 2n) of that span and
-the r x r scatters T = Q^T S_T Q and W = Q^T S_W Q, built by the same
-products on the coordinates Q^T [X, X'], which are the R of the QR
-factorization [X, X'] = Q R that found Q.  This is exact: S_T = Q T Q^T,
-|S_W| = Q |W| Q^T, and outside span(Q) S_T = 0, so the pencil's eigenvalues
-there are 0 and its top p eigenpairs, when non-negative, are those of the
-r x r pencil (T, |W| + eps I) lifted by Q.  Solve cost therefore scales with
-n, not d', and no d' x d' matrix is formed unless a caller reads s_t, s_w or
-s_b.
+columns [X, X'].  A ScatterPair always carries an orthonormal basis Q
+(d' x r) of a space holding that span, with the r x r scatters
+T = Q^T S_T Q and W = Q^T S_W Q.  With fewer stacked columns than d'
+coordinates, Q comes from the QR factorization [X, X'] = Q R (r <= 2n) and
+the scatters are built by the same products on the coordinates R;
+otherwise Q = I (r = d') and they are the d' x d' scatters.  This is exact:
+S_T = Q T Q^T, |S_W| = Q |W| Q^T, and outside span(Q) S_T = 0, so the
+pencil's eigenvalues there are 0 and its top p eigenpairs, when
+non-negative, are those of the r x r pencil (T, |W| + eps I) lifted by Q.
+Solve cost therefore scales with min(2n, d'), and no d' x d' matrix is
+formed for undersampled data unless a caller reads s_t, s_w or s_b.
 """
 
 from dataclasses import dataclass
@@ -50,10 +51,10 @@ def _sym(a: np.ndarray) -> np.ndarray:
 class ScatterPair:
     """Total and within-class scatter of one spectra set, S = Q M Q^T.
 
-    With a basis Q (d' x r, orthonormal columns), the given matrices are the
-    r x r scatters T and W in its coordinates; without one, Q = I and they
-    are the d' x d' scatters themselves.  s_t, s_w and s_b lift to d' x d'
-    only when read.
+    The given matrices are the r x r scatters T and W in the coordinates of
+    the basis Q (d' x r, orthonormal columns).  basis=None stands for Q = I
+    (r = d'); the constructor stores it as np.eye(r), so every reader sees
+    an array.  s_t, s_w and s_b lift to d' x d' only when read.
     """
 
     def __init__(self, s_t: np.ndarray, s_w: np.ndarray, lam: float, kind: str,
@@ -62,10 +63,10 @@ class ScatterPair:
         self.w = s_w
         self.lam = lam
         self.kind = kind  # "plain" or "quantized"
-        self.basis = basis
+        self.basis = np.eye(s_t.shape[0]) if basis is None else basis
 
     def _lift(self, a: np.ndarray) -> np.ndarray:
-        return a if self.basis is None else _sym(self.basis @ a @ self.basis.T)
+        return _sym(self.basis @ a @ self.basis.T)
 
     @cached_property
     def s_t(self) -> np.ndarray:
@@ -83,8 +84,8 @@ class ScatterPair:
 def _span_coordinates(*blocks: np.ndarray):
     """(Q, coordinates): an orthonormal basis Q of the blocks' stacked
     columns and each block in it, the column blocks of the QR factor
-    R = Q^T [blocks].  With at least as many columns as rows, Q is None
-    (Q = I) and the blocks are their own coordinates."""
+    R = Q^T [blocks].  With at least as many columns as rows there is no
+    QR: Q is None and the blocks are their own coordinates."""
     if sum(b.shape[1] for b in blocks) >= blocks[0].shape[0]:
         return None, blocks
     q, r = np.linalg.qr(np.hstack(blocks))
@@ -153,8 +154,7 @@ def solve_subspace(pair: ScatterPair, p: int, epsilon: float) -> Subspace:
     than the span holds (p > r) raises DataError: the rest would be
     arbitrary directions with eigenvalue 0.
     """
-    r = pair.t.shape[0]
-    d = r if pair.basis is None else pair.basis.shape[0]
+    d, r = pair.basis.shape
     if not 1 <= p <= d:
         raise ValueError(f"subspace dimension {p} outside [1, {d}]")
     if p > r:
@@ -169,9 +169,7 @@ def solve_subspace(pair: ScatterPair, p: int, epsilon: float) -> Subspace:
         raise NumericError(f"generalized eigensolve failed: {exc}") from exc
     if not np.isfinite(vals).all():
         raise NumericError("eigensolve produced non-finite eigenvalues")
-    vecs = whiten @ y
-    if pair.basis is not None:
-        vecs = pair.basis @ vecs
+    vecs = pair.basis @ (whiten @ y)
     vals, vecs = vals[::-1].copy(), vecs[:, ::-1]  # eigh sorts ascending
     anchors = np.abs(vecs).argmax(axis=0)
     signs = np.sign(vecs[anchors, np.arange(p)])
@@ -190,7 +188,7 @@ def criterion(pair: ScatterPair, subspace: Subspace, q: int | None = None) -> fl
     scatters; only the shift term needs U itself.
     """
     u = subspace.u if q is None else subspace.u[:, :q]
-    v = u if pair.basis is None else pair.basis.T @ u
+    v = pair.basis.T @ u
     num = np.trace(v.T @ pair.t @ v)
     den = np.trace(v.T @ pair.w @ v) + subspace.epsilon * np.trace(u.T @ u)
     if den <= 0:

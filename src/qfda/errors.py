@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one text-file reader."""
+
+from pathlib import Path
 
 
 class QfdaError(Exception):
@@ -31,3 +33,11 @@ class NumericError(QfdaError):
 
 class OptimizationError(QfdaError):
     """Every cost evaluation in an optimization run failed."""
+
+
+def read_text(path) -> str:
+    """A UTF-8 file's text; undecodable bytes raise FormatError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc

@@ -38,7 +38,7 @@ from .discriminant import (
     quantized_scatters,  # unused here; perfbench's tracer looks it up in this module
     solve_subspace,
 )
-from .errors import ConsistencyError, DataError, FormatError
+from .errors import ConsistencyError, DataError, FormatError, read_text
 from .modelio import ModelBundle, save_model
 from .pso import CostContext, PsoConfig, PsoResult, run_pso
 from .quantizer import (
@@ -64,9 +64,10 @@ def knn_error(
 
     Entry q - 1 scores the first q rows (directions) of the (rows, n)
     coordinate arrays.  Squared distances are accumulated one direction at
-    a time, so memory stays at one (eval, train) array.  Distance ties
-    resolve to the smaller training index (stable sort) and vote ties to
-    the smaller class id, so repeated runs agree exactly.
+    a time, so memory stays at one (eval, train) array.  Class ids may be
+    any integers.  Distance ties resolve to the smaller training index
+    (stable sort) and vote ties to the smaller class id (the first maximum
+    over the sorted ids), so repeated runs agree exactly.
     """
     if eval_coords.shape[1] == 0:
         raise DataError("cannot evaluate on an empty set")
@@ -75,14 +76,15 @@ def knn_error(
     n_train = train_coords.shape[1]
     if not 1 <= k <= n_train:
         raise ValueError(f"k={k} outside [1, {n_train}]")
+    classes = np.unique(train_labels)
     d2 = np.zeros((eval_coords.shape[1], n_train))
     errors = np.empty(train_coords.shape[0])
     for q, (train_row, eval_row) in enumerate(zip(train_coords, eval_coords)):
         diff = eval_row[:, None] - train_row[None, :]
         d2 += diff * diff
         order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        votes = train_labels[order]
-        predicted = np.array([np.bincount(row).argmax() for row in votes])
+        votes = (train_labels[order][:, :, None] == classes).sum(axis=1)
+        predicted = classes[votes.argmax(axis=1)]
         errors[q] = np.mean(predicted != eval_labels)
     return errors
 
@@ -116,14 +118,12 @@ def evaluate_subspace(
 
 @dataclass
 class PreparedData:
-    """Centered block-DCT spectra of the three splits plus geometry."""
+    """Centered block-DCT spectra of the three splits; layout is their geometry."""
 
     train: SpectrumSet
     val: SpectrumSet
     test: SpectrumSet
     mean_image: np.ndarray
-    height: int
-    width: int
     split_indices: tuple  # (train, val, test) indices into the loaded set
 
     @property
@@ -183,8 +183,6 @@ def prepare(config: ExperimentConfig) -> PreparedData:
         val=forward_dct(val_c),
         test=forward_dct(test_c),
         mean_image=train_c.mean_image,
-        height=raw.height,
-        width=raw.width,
         split_indices=(train_idx, val_idx, test_idx),
     )
 
@@ -394,7 +392,7 @@ def errors_csv(report: EvalReport) -> str:
 
 def read_errors(path) -> tuple:
     """(mean, std) of a file errors_csv wrote; FormatError names a file that is not one."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     try:
         rows = dict(line.split(",", 1) for line in lines[1:])
         return float(rows["mean"]), float(rows["std"])

@@ -18,7 +18,7 @@ import numpy as np
 
 from .blockdct import BlockLayout
 from .discriminant import Subspace
-from .errors import FormatError
+from .errors import FormatError, read_text
 from .pso import CostBreakdown
 from .quantizer import BoundVector, LevelVector, QuantizerSpec, vector_from_line
 
@@ -94,39 +94,43 @@ def save_model(directory, bundle: ModelBundle) -> Path:
     return path
 
 
-def _parsed(payload, key, parse):
-    """parse(payload[key]); a value it rejects raises a FormatError naming key."""
+def _parsed(path, payload, key, parse):
+    """parse(payload[key]); a value it rejects raises a FormatError naming path and key."""
     try:
         return parse(payload[key])
     except (AttributeError, TypeError, ValueError) as exc:
-        raise FormatError(f"model file has a bad {key!r}: {exc}") from exc
+        raise FormatError(f"{path}: model file has a bad {key!r}: {exc}") from exc
 
 
 def load_model(directory) -> ModelBundle:
+    """Read save_model's directory; a damaged model.json raises FormatError naming it."""
     directory = Path(directory)
+    path = directory / MODEL_FILE
     try:
-        with open(directory / MODEL_FILE, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
-        raise FormatError(f"unreadable model file: {exc}") from exc
+        raise FormatError(f"{path}: unreadable model file: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: model file's top-level value is not a JSON object")
     for key in ("bounds", "levels", "gamma", "lambda", "height", "width"):
         if key not in payload:
-            raise FormatError(f"model file is missing {key!r}")
-    subspace = load_subspace(directory / SUBSPACE_FILE)
-    layout = BlockLayout.for_image(_parsed(payload, "height", operator.index),
-                                   _parsed(payload, "width", operator.index))
+            raise FormatError(f"{path}: model file is missing {key!r}")
+    subspace_path = directory / SUBSPACE_FILE
+    subspace = load_subspace(subspace_path)
+    layout = BlockLayout.for_image(_parsed(path, payload, "height", operator.index),
+                                   _parsed(path, payload, "width", operator.index))
     # subspace.bin is outside input, so its d' must match the image size
     if subspace.u.shape[0] != layout.d_prime:
-        raise FormatError(f"subspace has d' = {subspace.u.shape[0]}, but the model's "
-                          f"padded image is {layout.padded_height}x{layout.padded_width} "
-                          f"= {layout.d_prime}")
-    bounds = _parsed(payload, "bounds", lambda line: BoundVector(
+        raise FormatError(f"{subspace_path}: subspace has d' = {subspace.u.shape[0]}, but "
+                          f"the model's padded image is "
+                          f"{layout.padded_height}x{layout.padded_width} = {layout.d_prime}")
+    bounds = _parsed(path, payload, "bounds", lambda line: BoundVector(
         ell=vector_from_line(line),
         bootstrap_seed=payload.get("bootstrap_seed", 0),
         bootstrap_size=payload.get("bootstrap_size", 0),
     ))
     # the spec rejects any m_k outside [2, ell_k]
-    levels = _parsed(payload, "levels", lambda line: QuantizerSpec(
+    levels = _parsed(path, payload, "levels", lambda line: QuantizerSpec(
         bounds, LevelVector(m=vector_from_line(line))).levels)
     return ModelBundle(
         bounds=bounds,

@@ -3,17 +3,19 @@
 Every frequency k shares one staircase across all blocks and images, built
 from a clipping bound ell_k and a level count m_k in {2, ..., ell_k}:
 
-    t1 = (m_k + 2) / 2 if m_k is even else (m_k + 1) / 2
+    t1 = floor(m_k / 2) + 1
 
-The staircase maps a value to
+which is the paper's parity form, (m_k + 2) / 2 for even m_k and
+(m_k + 1) / 2 for odd m_k, in one expression.  The staircase maps a value to
 
     sign(x) * ell_k / (t1 - 1) * floor(t1 |x| / ell_k)
 
 with the floor result capped at t1 - 1 for x >= 0, so the top output level
 is exactly ell_k, and at m_k - t1 for x < 0, so the negative side has
-m_k - t1 levels.  The floor is evaluated by comparing |x| against the
-breakpoints j * ell_k / t1, which is exact in IEEE doubles where the naive
-floor can land one level low.
+m_k - t1 levels; for odd m_k that cap is t1 - 1, the same as the positive
+side's.  The floor is evaluated by comparing |x| against the breakpoints
+j * ell_k / t1, which is exact in IEEE doubles where the naive floor can
+land one level low.
 """
 
 from dataclasses import dataclass
@@ -70,7 +72,7 @@ def staircase_params(ell: int, m: int):
     """(t1, t2, step, breakpoints) of the frequency staircase for (ell, m)."""
     if not 2 <= m <= ell:
         raise ValueError(f"level count {m} outside [2, {ell}]")
-    t1 = (m + 2) // 2 if m % 2 == 0 else (m + 1) // 2
+    t1 = m // 2 + 1
     t2 = ell * (t1 - 2) / t1
     step = ell / (t1 - 1)
     breakpoints = np.arange(1, t1) * ell / t1
@@ -80,9 +82,10 @@ def staircase_params(ell: int, m: int):
 def quantize_values(values: np.ndarray, ell: int, m: int) -> np.ndarray:
     """Apply one frequency's staircase to an array of coefficients."""
     t1, _, step, breakpoints = staircase_params(int(ell), int(m))
-    level = np.searchsorted(breakpoints, np.abs(values), side="right")
-    if m % 2 == 0:  # for odd m, m - t1 = t1 - 1 is already the top level
-        level = np.where(values < 0, np.minimum(level, m - t1), level)
+    # values at or below -(m - t1) ell / t1, a breakpoint or 0, take the
+    # negative side's last level, m - t1
+    clipped = np.maximum(values, -(m - t1) * ell / t1)
+    level = np.searchsorted(breakpoints, np.abs(clipped), side="right")
     return np.sign(values) * step * level
 
 

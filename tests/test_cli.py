@@ -257,14 +257,21 @@ class TestErrorPaths:
         assert not list(tmp_path.glob("errors_*.csv"))
 
     def test_label_ids_with_gaps(self, tmp_path, capsys):
+        # ids {3, 7} and {0, 1} on the same images give the same errors
         raw = two_class_images(n=60, height=16, width=16, seed=3)
-        raw.labels = np.where(raw.labels == 0, 3, 7)
-        images = tmp_path / "gaps-images-idx3-ubyte"
-        write_idx(raw, images, tmp_path / "gaps-labels-idx1-ubyte")
-        code = main(["baseline"] + base_args((images, None), tmp_path / "out")
-                    + ["--set", "classes=3,7"])
-        assert code == 0, capsys.readouterr().err
-        assert (tmp_path / "out" / "errors_fda_test.csv").is_file()
+        dense = raw.labels.copy()
+        for ids in ((3, 7), (0, 1)):
+            raw.labels = np.where(dense == 0, *ids)
+            name = f"ids{ids[0]}{ids[1]}"
+            images = tmp_path / f"{name}-images-idx3-ubyte"
+            write_idx(raw, images, tmp_path / f"{name}-labels-idx1-ubyte")
+            code = main(["baseline"] + base_args((images, None), tmp_path / name)
+                        + ["--set", f"classes={ids[0]},{ids[1]}"])
+            assert code == 0, capsys.readouterr().err
+        for split in ("train", "val", "test"):
+            csv = f"errors_fda_{split}.csv"
+            assert (tmp_path / "ids37" / csv).read_bytes() == \
+                (tmp_path / "ids01" / csv).read_bytes()
 
     @pytest.mark.parametrize("damage", ["bad-mean", "no-mean"])
     def test_report_on_damaged_errors_file_exits_1(self, idx_paths, damage,
@@ -327,6 +334,20 @@ class TestDamagedModel:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["1", "null"])
+    def test_model_json_not_an_object_exits_1(self, idx_paths, model_dir, tmp_path,
+                                              value, capsys):
+        model = tmp_path / "model"
+        shutil.copytree(model_dir / "model", model)
+        (model / "model.json").write_text(value + "\n")
+        code = main(["evaluate", "--model", str(model)]
+                    + base_args(idx_paths, tmp_path / "out"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model / 'model.json'}: ")
+        assert "JSON object" in err
+        assert not (tmp_path / "out").exists()
+
     def test_subspace_size_differs_from_model_exits_1(self, idx_paths, model_dir,
                                                        tmp_path, capsys):
         model = tmp_path / "model"
@@ -388,3 +409,26 @@ def test_damaged_model_value_exits_1(idx_paths, model_dir, tmp_path, key, value,
     err = capsys.readouterr().err
     assert "error:" in err and repr(key) in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("target", ["model.json", "errors csv", "class map"])
+def test_undecodable_file_exits_1(idx_paths, model_dir, tmp_path, target, capsys):
+    out = tmp_path / "out"
+    if target == "model.json":
+        model = tmp_path / "model"
+        shutil.copytree(model_dir / "model", model)
+        path = model / "model.json"
+        argv = ["evaluate", "--model", str(model)] + base_args(idx_paths, out)
+    elif target == "errors csv":
+        assert main(["baseline"] + base_args(idx_paths, out)) == 0
+        path = out / "errors_fda_val.csv"
+        argv = ["report", "--output-dir", str(out)]
+    else:
+        path = tmp_path / "classes.map"
+        argv = ["baseline", "--set", "dataset_kind=pgm_dir",
+                "--set", f"dataset_path={tmp_path}", "--set", f"class_map={path}",
+                "--output-dir", str(out)]
+    path.write_bytes(b"\xff" + (path.read_bytes() if path.exists() else b"a = 0\n"))
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")

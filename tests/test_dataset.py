@@ -66,7 +66,7 @@ class TestRawImageSet:
         back = load_idx(ip, lp)
         np.testing.assert_array_equal(back.labels, [3, 7, 3, 7, 3, 7])
         np.testing.assert_array_equal(select_classes(back, [3, 7]).labels,
-                                      [0, 1, 0, 1, 0, 1])
+                                      [3, 7, 3, 7, 3, 7])
 
     def test_properties(self):
         ds = small_set()
@@ -273,10 +273,12 @@ class TestPgmDir:
 
 
 class TestSelectClasses:
-    def test_dense_relabel(self):
+    def test_keeps_class_ids(self):
         ds = small_set(n=12, classes=3)
-        out = select_classes(ds, [0, 2])
-        assert set(out.labels.tolist()) == {0, 1}
+        out = select_classes(ds, [2, 0])
+        keep = ds.labels != 1
+        np.testing.assert_array_equal(out.labels, ds.labels[keep])
+        np.testing.assert_array_equal(out.pixels, ds.pixels[:, keep])
         assert out.n == 8
 
     def test_per_class_cap(self):

@@ -355,14 +355,16 @@ class TestSpanReduction:
             np.trace(u.T @ pair.s_w @ u) + eps * np.trace(u.T @ u))
         assert criterion(pair, sub) == pytest.approx(manual, rel=1e-10)
 
-    def test_no_basis_when_columns_reach_d_prime(self):
+    def test_identity_basis_when_columns_reach_d_prime(self):
         rng = np.random.default_rng(32)
         x = rng.normal(size=(64, 64))
         labels = np.arange(64) % 2
         plain = plain_scatters(spectrum_set(x, labels))
-        assert plain.basis is None and plain.s_t is plain.t
+        np.testing.assert_array_equal(plain.basis, np.eye(64))
+        np.testing.assert_array_equal(plain.s_t, 0.5 * (plain.t + plain.t.T))
         half = spectrum_set(x[:, :32], labels[:32])
-        assert quantized_scatters(half, half, lam=0.5).basis is None
+        np.testing.assert_array_equal(quantized_scatters(half, half, lam=0.5).basis,
+                                      np.eye(64))
         fewer = spectrum_set(x[:, :31], labels[:31])
         assert quantized_scatters(fewer, fewer, lam=0.5).basis.shape == (64, 62)
 
@@ -416,7 +418,7 @@ class TestClassCentering:
         lam = 0.7
 
         pair = plain_scatters(spectrum_set(x, labels))
-        assert (pair.basis is None) == (d < labels.size)
+        assert (pair.basis.shape[1] == d) == (d < labels.size)
         s_t, s_w, s_b = scatter_oracle(x, labels)
         scale = np.abs(s_t).max()
         np.testing.assert_allclose(pair.s_t, s_t, atol=1e-8 * scale)
@@ -425,7 +427,7 @@ class TestClassCentering:
 
         mixed = quantized_scatters(spectrum_set(x, labels),
                                    spectrum_set(xq, labels), lam)
-        assert (mixed.basis is None) == (d < labels.size)
+        assert (mixed.basis.shape[1] == d) == (d < labels.size)
         s_t, s_w = quantized_scatter_oracle(x, xq, labels, lam)
         scale = np.abs(s_t).max()
         np.testing.assert_allclose(mixed.s_t, s_t, atol=1e-8 * scale)

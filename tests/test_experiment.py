@@ -61,20 +61,23 @@ def knn_oracle(train_coords, train_labels, eval_coords, eval_labels, k):
 class TestKnnError:
     def test_matches_brute_force_on_integer_grids(self):
         # integer coordinates make squared distances exact, so distance
-        # ties actually occur and both tie rules get exercised
+        # ties actually occur and both tie rules get exercised; class ids
+        # come dense and with gaps
         rng = np.random.default_rng(23)
-        for trial in range(10):
-            rows = int(rng.integers(1, 6))
-            n_train = int(rng.integers(10, 50))
-            n_eval = int(rng.integers(5, 30))
-            k = int(rng.integers(1, min(8, n_train) + 1))
-            tc = rng.integers(0, 5, size=(rows, n_train)).astype(np.float64)
-            ec = rng.integers(0, 5, size=(rows, n_eval)).astype(np.float64)
-            tl = rng.integers(0, 3, size=n_train)
-            el = rng.integers(0, 3, size=n_eval)
-            got = knn_error(tc, tl, ec, el, k)
-            expected = [knn_oracle(tc[:q], tl, ec[:q], el, k) for q in range(1, rows + 1)]
-            assert got.tolist() == expected
+        for ids in (np.arange(3), np.array([2, 5, 9])):
+            for trial in range(10):
+                rows = int(rng.integers(1, 6))
+                n_train = int(rng.integers(10, 50))
+                n_eval = int(rng.integers(5, 30))
+                k = int(rng.integers(1, min(8, n_train) + 1))
+                tc = rng.integers(0, 5, size=(rows, n_train)).astype(np.float64)
+                ec = rng.integers(0, 5, size=(rows, n_eval)).astype(np.float64)
+                tl = ids[rng.integers(0, 3, size=n_train)]
+                el = ids[rng.integers(0, 3, size=n_eval)]
+                got = knn_error(tc, tl, ec, el, k)
+                expected = [knn_oracle(tc[:q], tl, ec[:q], el, k)
+                            for q in range(1, rows + 1)]
+                assert got.tolist() == expected
 
     def test_self_evaluation_is_zero(self):
         rng = np.random.default_rng(24)
@@ -189,7 +192,7 @@ class TestPrepare:
     def test_split_sizes_and_geometry(self, idx_paths, tmp_path):
         prepared = prepare(small_config(idx_paths, tmp_path))
         assert (prepared.train.n, prepared.val.n, prepared.test.n) == (36, 12, 12)
-        assert (prepared.height, prepared.width) == (16, 16)
+        assert (prepared.layout.height, prepared.layout.width) == (16, 16)
         assert prepared.layout.d_prime == 256
         tr, va, te = prepared.split_indices
         merged = np.concatenate([tr, va, te])
@@ -232,7 +235,7 @@ class TestPrepare:
     def test_resampling_shrinks_geometry(self, idx_paths, tmp_path):
         config = small_config(idx_paths, tmp_path, resample_factor=0.5)
         prepared = prepare(config)
-        assert (prepared.height, prepared.width) == (8, 8)
+        assert (prepared.layout.height, prepared.layout.width) == (8, 8)
         assert prepared.layout.d_prime == 64
 
 
