@@ -11,26 +11,26 @@ import sys
 from pathlib import Path
 
 from .config import ExperimentConfig, apply_overrides, load_config
-from .errors import ConsistencyError, DataError, FormatError, QfdaError, read_text
+from .errors import DataError, FormatError, QfdaError, read_text
 from .experiment import (
     SPLITS,
     cost_context,
     export_eigenfaces,
     export_quantized_images,
     prepare,
+    prepare_for_model,
     pso_config,
-    quantized_reports,
     read_errors,
     run_baseline_fda,
     run_experiment,
     search_model,
+    split_reports,
     write_errors,
     write_search,
     write_splits,
 )
 from .modelio import load_model, save_model
 from .pso import run_pso
-from .quantizer import QuantizerSpec
 
 
 def _build_config(args, **fields) -> ExperimentConfig:
@@ -117,13 +117,8 @@ def _cmd_baseline(args):
 def _cmd_evaluate(args):
     cfg = _build_config(args)
     bundle = load_model(args.model)
-    prepared = prepare(cfg)
-    model, data = bundle.layout, prepared.layout
-    if model != data:
-        raise ConsistencyError(f"model was trained on {model.height}x{model.width} images, "
-                               f"the dataset has {data.height}x{data.width}")
-    spec = QuantizerSpec(bounds=bundle.bounds, levels=bundle.levels)
-    _write_and_print(cfg, "qfda", quantized_reports(bundle.subspace, spec, prepared, cfg))
+    prepared = prepare_for_model(bundle, cfg)
+    _write_and_print(cfg, "qfda", split_reports(bundle.subspace, prepared, cfg, bundle.spec))
 
 
 def _cmd_export_eigenfaces(args):
@@ -140,10 +135,9 @@ def _cmd_export_eigenfaces(args):
 def _cmd_export_quantized(args):
     cfg = _build_config(args)
     bundle = load_model(args.model)
-    prepared = prepare(cfg)
-    spec = QuantizerSpec(bounds=bundle.bounds, levels=bundle.levels)
+    prepared = prepare_for_model(bundle, cfg)
     paths = export_quantized_images(
-        prepared.train, spec, prepared.mean_image,
+        prepared.train, bundle.spec, prepared.mean_image,
         Path(cfg.output_dir) / "quantized", count=args.count,
     )
     print(f"wrote {len(paths)} images")

@@ -1,16 +1,17 @@
 """Experiment configuration: a flat dataclass, a `key = value` file format,
 and command-line overrides.
 
-Config files hold one assignment per line; blank lines and text after `#`
-are ignored.  List-valued keys take comma-separated entries.  Unknown keys
-are rejected rather than silently dropped.
+Config files hold one assignment per line; blank lines are ignored, and `#`
+at line start or after whitespace starts a comment (`run#2` keeps its `#`).
+List-valued keys take comma-separated entries.  Unknown keys are rejected.
 """
 
 import dataclasses
 import math
+import re
 from dataclasses import dataclass, field, fields
 
-from .errors import FormatError
+from .errors import FormatError, read_text
 
 
 @dataclass
@@ -109,7 +110,7 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
     cfg = dataclasses.replace(base) if base is not None else ExperimentConfig()
     by_name = {f.name: f for f in fields(ExperimentConfig)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -126,8 +127,7 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
 
 
 def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), base=base)
+    return parse_config_text(read_text(path), base=base)
 
 
 def apply_overrides(cfg: ExperimentConfig, pairs: list) -> ExperimentConfig:

@@ -18,6 +18,7 @@ from .errors import (
     SizeError,
     SplitError,
     read_text,
+    write_text,
 )
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -347,14 +348,11 @@ def split_indices(dataset: RawImageSet, spec: SplitSpec):
 
 def save_split_indices(path, indices) -> None:
     """Persist a split as a text index list, one integer per line."""
-    Path(path).write_text(
-        "".join(f"{int(i)}\n" for i in indices), encoding="ascii"
-    )
+    write_text(path, "".join(f"{int(i)}\n" for i in indices))
 
 
 def load_split_indices(path) -> np.ndarray:
-    text = Path(path).read_text(encoding="ascii").split()
-    return np.array([int(t) for t in text], dtype=np.int64)
+    return np.array([int(t) for t in read_text(path).split()], dtype=np.int64)
 
 
 def resample(dataset: RawImageSet, factor: float) -> RawImageSet:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one text-file reader."""
+"""Exception types shared across the package, and its one text-file reader and writer."""
 
 from pathlib import Path
 
@@ -41,3 +41,9 @@ def read_text(path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def write_text(path, text: str) -> None:
+    """Write text as UTF-8 with "\\n" newlines, whatever the platform."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)

@@ -38,7 +38,7 @@ from .discriminant import (
     quantized_scatters,  # unused here; perfbench's tracer looks it up in this module
     solve_subspace,
 )
-from .errors import ConsistencyError, DataError, FormatError, read_text
+from .errors import ConsistencyError, DataError, FormatError, read_text, write_text
 from .modelio import ModelBundle, save_model
 from .pso import CostContext, PsoConfig, PsoResult, run_pso
 from .quantizer import (
@@ -187,6 +187,16 @@ def prepare(config: ExperimentConfig) -> PreparedData:
     )
 
 
+def prepare_for_model(bundle: ModelBundle, config: ExperimentConfig) -> PreparedData:
+    """prepare(config), refused unless its images have the size the model was trained on."""
+    prepared = prepare(config)
+    model, data = bundle.layout, prepared.layout
+    if model != data:
+        raise ConsistencyError(f"model was trained on {model.height}x{model.width} images, "
+                               f"the dataset has {data.height}x{data.width}")
+    return prepared
+
+
 def _subspace_dim(config: ExperimentConfig, prepared: PreparedData) -> int:
     return min(config.max_dims, prepared.layout.d_prime)
 
@@ -195,28 +205,21 @@ def run_baseline_fda(prepared: PreparedData, config: ExperimentConfig):
     """Plain discriminant subspace on non-quantized spectra, all splits."""
     pair = plain_scatters(prepared.train)
     sub = solve_subspace(pair, _subspace_dim(config, prepared), config.epsilon)
-    return {
-        split: evaluate_subspace(sub, prepared.train, getattr(prepared, split), config)
-        for split in SPLITS
-    }
+    return split_reports(sub, prepared, config)
 
 
-def quantized_reports(
-    subspace: Subspace,
-    spec: QuantizerSpec,
-    prepared: PreparedData,
-    config: ExperimentConfig,
-    splits=SPLITS,
-) -> dict:
-    """Quantize the training split and each named split; k-NN error per split."""
-    train_q = quantize(prepared.train, spec)
+def split_reports(subspace: Subspace, prepared: PreparedData, config: ExperimentConfig,
+                  spec: QuantizerSpec | None = None, splits=SPLITS) -> dict:
+    """k-NN error of the subspace on each named split against the training split.
+
+    Given a spec, the training split and the named splits are quantized with
+    it first; without one, the original spectra are scored.
+    """
+    spectra = {split: getattr(prepared, split) for split in ("train", *splits)}
+    if spec is not None:
+        spectra = {split: quantize(s, spec) for split, s in spectra.items()}
     return {
-        split: evaluate_subspace(
-            subspace,
-            train_q,
-            train_q if split == "train" else quantize(getattr(prepared, split), spec),
-            config,
-        )
+        split: evaluate_subspace(subspace, spectra["train"], spectra[split], config)
         for split in splits
     }
 
@@ -271,8 +274,8 @@ def run_grid(prepared: PreparedData, config: ExperimentConfig) -> GridResult:
         for lam in config.lambda_grid:
             result = run_pso(ctx, pso_config(config, gamma, lam), threads=config.threads)
             spec = QuantizerSpec(bounds=ctx.bounds, levels=result.best)
-            report = quantized_reports(result.breakdown.subspace, spec, prepared, config,
-                                       ("val",))["val"]
+            report = split_reports(result.breakdown.subspace, prepared, config, spec,
+                                   ("val",))["val"]
             cells.append(GridCell(gamma=gamma, lam=lam, val_report=report, pso=result))
     chosen = min(cells, key=lambda c: (c.val_report.mean, c.gamma, c.lam))
     return GridResult(cells=cells, chosen=chosen, bounds=ctx.bounds)
@@ -288,8 +291,7 @@ def finalize_model(prepared: PreparedData, config: ExperimentConfig, grid: GridR
     """
     cell = grid.chosen
     bundle = search_model(grid.bounds, cell.pso, prepared.layout, cell.gamma, cell.lam)
-    spec = QuantizerSpec(bounds=bundle.bounds, levels=bundle.levels)
-    scored = quantized_reports(bundle.subspace, spec, prepared, config, ("train", "test"))
+    scored = split_reports(bundle.subspace, prepared, config, bundle.spec, ("train", "test"))
     reports = {"train": scored["train"], "val": cell.val_report, "test": scored["test"]}
     return bundle, reports
 
@@ -338,8 +340,9 @@ def export_quantized_images(
 ):
     """Write original, centered, and quantized renderings per sample.
 
-    Original and quantized panels add the mean back and clamp to [0,255];
-    the centered panel is min-max scaled since it is signed by construction.
+    Original and quantized panels add the mean back (write_pgm clamps them
+    to [0, 255]); the centered panel is min-max scaled since it is signed by
+    construction.
     """
     if count < 1:
         raise DataError(f"sample count {count} must be at least 1")
@@ -353,9 +356,9 @@ def export_quantized_images(
     paths = []
     for i in range(count):
         panels = {
-            "original": np.clip(centered.pixels[:, i] + mean_image, 0.0, 255.0),
+            "original": centered.pixels[:, i] + mean_image,
             "centered": _normalize_to_byte(centered.pixels[:, i]),
-            "quantized": np.clip(quantized.pixels[:, i] + mean_image, 0.0, 255.0),
+            "quantized": quantized.pixels[:, i] + mean_image,
         }
         for name, image in panels.items():
             path = output_dir / f"sample_{i:02d}_{name}.pgm"
@@ -414,11 +417,6 @@ def trace_csv(pso: PsoResult) -> str:
     for round_idx, particle, cost, best in pso.trace:
         lines.append(f"{round_idx},{particle},{_fmt(cost)},{_fmt(best)}")
     return "\n".join(lines) + "\n"
-
-
-def write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
 
 
 def write_search(directory, pso: PsoResult) -> None:
@@ -485,7 +483,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
     export_quantized_images(
         prepared.train,
-        QuantizerSpec(bounds=bundle.bounds, levels=bundle.levels),
+        bundle.spec,
         prepared.mean_image,
         out / "quantized",
     )

@@ -18,7 +18,7 @@ import numpy as np
 
 from .blockdct import BlockLayout
 from .discriminant import Subspace
-from .errors import FormatError, read_text
+from .errors import FormatError, read_text, write_text
 from .pso import CostBreakdown
 from .quantizer import BoundVector, LevelVector, QuantizerSpec, vector_from_line
 
@@ -36,6 +36,10 @@ class ModelBundle:
     gamma: float
     lam: float
     breakdown: CostBreakdown
+
+    @property
+    def spec(self) -> QuantizerSpec:
+        return QuantizerSpec(bounds=self.bounds, levels=self.levels)
 
 
 def save_subspace(path, subspace: Subspace) -> None:
@@ -89,8 +93,7 @@ def save_model(directory, bundle: ModelBundle) -> Path:
         "width": bundle.layout.width,
     }
     path = directory / MODEL_FILE
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return path
 
 

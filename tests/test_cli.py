@@ -99,13 +99,15 @@ class TestOptimizeEvaluateExport:
             name = f"errors_qfda_{split}.csv"
             assert (eval_out / name).read_bytes() == (grid_out / name).read_bytes()
 
-    def test_evaluate_on_other_image_size_exits_1(self, model_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["evaluate", "export-quantized"])
+    def test_evaluate_on_other_image_size_exits_1(self, model_dir, tmp_path, capsys, command):
         small = write_two_class_idx(tmp_path / "small", n=60, height=8, width=8, seed=3)
-        code = main(["evaluate", "--model", str(model_dir / "model")]
+        code = main([command, "--model", str(model_dir / "model")]
                     + base_args(small, tmp_path / "out"))
         assert code == 1
         err = capsys.readouterr().err
         assert "error:" in err and "16x16" in err and "8x8" in err
+        assert not (tmp_path / "out" / "quantized").exists()
 
     def test_optimize_matches_the_grid_cell(self, idx_paths, tmp_path):
         opt, grid = tmp_path / "opt", tmp_path / "grid"
@@ -163,6 +165,14 @@ class TestErrorPaths:
         assert code == 1
         err = capsys.readouterr().err
         assert "error:" in err and str(bad) in err
+
+    def test_hash_inside_an_override_path_is_kept(self, idx_paths, tmp_path):
+        # '#' starts a comment only at line start or after whitespace
+        data = tmp_path / "d#1"
+        shutil.copytree(idx_paths[0].parent, data)
+        out = tmp_path / "out"
+        assert main(["baseline"] + base_args((data / idx_paths[0].name,), out)) == 0
+        assert (out / "errors_fda_val.csv").is_file()
 
     def test_config_file_and_overrides_compose(self, idx_paths, tmp_path,
                                                capsys):
@@ -411,10 +421,13 @@ def test_damaged_model_value_exits_1(idx_paths, model_dir, tmp_path, key, value,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("target", ["model.json", "errors csv", "class map"])
+@pytest.mark.parametrize("target", ["model.json", "errors csv", "class map", "config"])
 def test_undecodable_file_exits_1(idx_paths, model_dir, tmp_path, target, capsys):
     out = tmp_path / "out"
-    if target == "model.json":
+    if target == "config":
+        path = tmp_path / "bad.cfg"
+        argv = ["baseline", "--config", str(path)] + base_args(idx_paths, out)
+    elif target == "model.json":
         model = tmp_path / "model"
         shutil.copytree(model_dir / "model", model)
         path = model / "model.json"

@@ -32,6 +32,11 @@ class TestParsing:
         assert cfg.split_seed == 9
         assert cfg.gamma_grid == [0.1, 1.0]
 
+    def test_hash_inside_a_value_is_kept(self):
+        cfg = ExperimentConfig(output_dir="run#2")
+        assert parse_config_text(config_text(cfg)) == cfg
+        assert apply_overrides(cfg, ["dataset_path=d#1/x # note"]).dataset_path == "d#1/x"
+
     def test_unknown_key_rejected(self):
         with pytest.raises(FormatError, match="line 2"):
             parse_config_text("split_seed = 1\nsplitseed = 2\n")
