@@ -3,15 +3,15 @@ and command-line overrides.
 
 Config files hold one assignment per line; blank lines are ignored, and `#`
 at line start or after whitespace starts a comment (`run#2` keeps its `#`).
-List-valued keys take comma-separated entries.  Unknown keys are rejected.
+List-valued keys take comma-separated entries.  Unknown keys are rejected,
+and an error names its source: the file and line, or the `--set` entry.
 """
 
 import dataclasses
 import math
-import re
 from dataclasses import dataclass, field, fields
 
-from .errors import FormatError, read_text
+from .errors import FormatError, read_text, strip_comment
 
 
 @dataclass
@@ -106,33 +106,42 @@ def _parse_value(name: str, text: str, target_type):
     return text
 
 
-def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
+def _parse_lines(lines, base: ExperimentConfig | None) -> ExperimentConfig:
+    """Apply (where, line) pairs on top of a copy of base; where begins any error."""
     cfg = dataclasses.replace(base) if base is not None else ExperimentConfig()
     by_name = {f.name: f for f in fields(ExperimentConfig)}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
+    for where, raw in lines:
+        line = strip_comment(raw)
         if not line:
             continue
         if "=" not in line:
-            raise FormatError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise FormatError(f"{where}: expected 'key = value', got {raw!r}")
         name, value = (part.strip() for part in line.split("=", 1))
         if name not in by_name:
-            raise FormatError(f"line {lineno}: unknown config key {name!r}")
+            raise FormatError(f"{where}: unknown config key {name!r}")
         try:
             setattr(cfg, name, _parse_value(name, value, by_name[name].type))
         except ValueError as exc:
-            raise FormatError(f"line {lineno}: bad value for {name!r}: {exc}") from exc
+            raise FormatError(f"{where}: bad value for {name!r}: {exc}") from exc
     cfg.__post_init__()
     return cfg
 
 
+def parse_config_text(text: str, base: ExperimentConfig | None = None,
+                      source: str = "config") -> ExperimentConfig:
+    """Parse config file text; an error names the source and the line."""
+    lines = ((f"{source}: line {lineno}", raw)
+             for lineno, raw in enumerate(text.splitlines(), start=1))
+    return _parse_lines(lines, base)
+
+
 def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    return parse_config_text(read_text(path), base=base)
+    return parse_config_text(read_text(path), base=base, source=str(path))
 
 
 def apply_overrides(cfg: ExperimentConfig, pairs: list) -> ExperimentConfig:
-    """Apply 'key=value' strings on top of a parsed config."""
-    return parse_config_text("\n".join(pairs), base=cfg)
+    """Apply 'key=value' strings on top of a parsed config; an error names its --set."""
+    return _parse_lines(((f"--set {pair}", pair) for pair in pairs), cfg)
 
 
 def config_text(cfg: ExperimentConfig) -> str:

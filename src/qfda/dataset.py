@@ -18,6 +18,7 @@ from .errors import (
     SizeError,
     SplitError,
     read_text,
+    strip_comment,
     write_text,
 )
 
@@ -229,10 +230,10 @@ def write_pgm(path, image: np.ndarray) -> None:
 
 
 def parse_class_map(path) -> dict:
-    """Read a 'subdirectory = class_id' map file ('#' starts a comment)."""
+    """Read a 'subdirectory = class_id' map file; comments as in config files."""
     mapping = {}
     for raw in read_text(path).splitlines():
-        line = raw.split("#", 1)[0].strip()
+        line = strip_comment(raw)
         if not line:
             continue
         name, _, value = line.partition("=")

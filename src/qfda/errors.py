@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and its one text-file reader and writer."""
+"""Exception types shared across the package, its one text-file reader and
+writer, and the comment rule of its `key = value` files."""
 
+import re
 from pathlib import Path
 
 
@@ -47,3 +49,9 @@ def write_text(path, text: str) -> None:
     """Write text as UTF-8 with "\\n" newlines, whatever the platform."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+def strip_comment(line: str) -> str:
+    """A line without its comment: `#` starts one only at line start or after
+    whitespace, so `run#2` keeps its `#`."""
+    return re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()

@@ -240,7 +240,11 @@ class GridResult:
 
 
 def cost_context(prepared: PreparedData, config: ExperimentConfig) -> CostContext:
-    """Bounds and densities from one bootstrap sample of the training split."""
+    """Bounds and densities from one bootstrap sample of the training split.
+
+    Build it once per run: its rate table and solve memo serve every search
+    that is given it.
+    """
     s = config.bootstrap_size or min(100, prepared.train.n)
     return CostContext(
         spectra=prepared.train,
@@ -266,17 +270,22 @@ def run_grid(prepared: PreparedData, config: ExperimentConfig) -> GridResult:
 
     Each cell scores its best quantizer by validation error, in the subspace
     the swarm solved for it; the winning cell has minimal mean error, ties
-    broken toward smaller gamma then smaller lambda.
+    broken toward smaller gamma then smaller lambda.  All cells share one
+    cost context, so a (lambda, m) is solved once per run, and a cell whose
+    (lambda, best m) an earlier cell already scored reuses that val report.
     """
     ctx = cost_context(prepared, config)
-    cells = []
+    cells, val_reports = [], {}
     for gamma in config.gamma_grid:
         for lam in config.lambda_grid:
             result = run_pso(ctx, pso_config(config, gamma, lam), threads=config.threads)
-            spec = QuantizerSpec(bounds=ctx.bounds, levels=result.best)
-            report = split_reports(result.breakdown.subspace, prepared, config, spec,
-                                   ("val",))["val"]
-            cells.append(GridCell(gamma=gamma, lam=lam, val_report=report, pso=result))
+            key = (lam, result.best.m.tobytes())
+            if key not in val_reports:
+                spec = QuantizerSpec(bounds=ctx.bounds, levels=result.best)
+                val_reports[key] = split_reports(result.breakdown.subspace, prepared, config,
+                                                 spec, ("val",))["val"]
+            cells.append(GridCell(gamma=gamma, lam=lam, val_report=val_reports[key],
+                                  pso=result))
     chosen = min(cells, key=lambda c: (c.val_report.mean, c.gamma, c.lam))
     return GridResult(cells=cells, chosen=chosen, bounds=ctx.bounds)
 

@@ -7,8 +7,12 @@ of a level vector m is
     cost(m) = -f_Q(m) + gamma * rbar(m)
 
 where f_Q is the Fisher criterion of the quantized subspace and rbar the
-average entropy rate.  Evaluations are cached by snapped vector, so a
-swarm round costs at most one eigensolve per distinct snapped position.
+average entropy rate.  A search caches its costs by snapped vector, so a
+swarm round costs at most one evaluation per distinct snapped position.
+Beneath that, the cost context memoizes each solve for the whole run,
+keyed by (lambda, m bytes): f_Q, rbar and the subspace do not depend on
+gamma, so every search that shares the context (every grid cell) solves a
+(lambda, m) once and only weights rbar by its own gamma.
 
 New vectors are scored in first-appearance order by one map per round: a
 thread pool opened once per search, or the calling thread when threads=1.
@@ -47,13 +51,24 @@ class PsoConfig:
 
 @dataclass(frozen=True)
 class CostContext:
-    """Everything a cost evaluation needs besides the level vector."""
+    """Everything a cost evaluation needs besides the level vector.
+
+    memo maps (lambda, m bytes) to the gamma-free result of that solve,
+    (f_Q, rbar, subspace), or to None where it raised NumericError; it
+    keeps one p x d' subspace per entry.  It is not an init field, so
+    dataclasses.replace starts an empty one and no entry outlives the
+    spectra, bounds or epsilon it was solved with.  Entries are written
+    without a lock: fresh keys within a round are distinct, so no two
+    threads solve the same key, and if they did they would store the same
+    bits.
+    """
 
     spectra: SpectrumSet        # centered training spectra
     bounds: BoundVector
     density: FrequencyDensity
     epsilon: float
     subspace_dim: int
+    memo: dict = field(init=False, default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -65,17 +80,32 @@ class CostBreakdown:
     subspace: Subspace | None = field(default=None, compare=False, repr=False)
 
 
-def evaluate_cost(m: np.ndarray, ctx: CostContext, gamma: float, lam: float) -> CostBreakdown:
-    """Cost of one admissible level vector; +inf when the solve breaks down."""
-    spec = QuantizerSpec(bounds=ctx.bounds, levels=LevelVector(m=m))
+def _solve(spec: QuantizerSpec, ctx: CostContext, lam: float):
+    """(f_Q, rbar, subspace) of one quantizer, or None when the solve breaks down."""
     quantized = quantize(ctx.spectra, spec)
     try:
         pair = quantized_scatters(ctx.spectra, quantized, lam)
         sub = solve_subspace(pair, ctx.subspace_dim, ctx.epsilon)
         f_q = criterion(pair, sub)
     except NumericError:
+        return None
+    return f_q, rate(ctx.density, spec).average, sub
+
+
+def evaluate_cost(m: np.ndarray, ctx: CostContext, gamma: float, lam: float) -> CostBreakdown:
+    """Cost of one admissible level vector; +inf when the solve breaks down.
+
+    The solve is looked up in ctx.memo first, so a (lambda, m) already
+    scored in this context, at any gamma, is not solved again.
+    """
+    spec = QuantizerSpec(bounds=ctx.bounds, levels=LevelVector(m=m))
+    key = (lam, spec.levels.m.tobytes())
+    if key not in ctx.memo:
+        ctx.memo[key] = _solve(spec, ctx, lam)
+    solved = ctx.memo[key]
+    if solved is None:
         return CostBreakdown(criterion=np.nan, rate=np.nan, total=np.inf)
-    rbar = rate(ctx.density, spec).average
+    f_q, rbar, sub = solved
     return CostBreakdown(criterion=f_q, rate=rbar, total=-f_q + gamma * rbar, subspace=sub)
 
 

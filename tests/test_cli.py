@@ -136,6 +136,21 @@ class TestErrorPaths:
         assert main(["grid", "--set", "nope=1"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_config_file_error_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("max_dims = 4\nnope = 1\n")
+        assert main(["baseline", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: line 2: unknown config key 'nope'\n"
+
+    def test_override_error_names_the_override(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max_dims = 4\n")
+        code = main(["baseline", "--config", str(cfg),
+                     "--set", "k_nn=3", "--set", "max_dims=few"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: --set max_dims=few: bad value for 'max_dims': ")
+
     def test_missing_dataset_file(self, tmp_path, capsys):
         code = main(["baseline",
                      "--set", "dataset_path=/no/such-images-idx3-ubyte",

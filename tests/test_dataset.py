@@ -244,6 +244,15 @@ class TestPgmDir:
         ds = load_pgm_dir(tmp_path, parse_class_map(mapping))
         np.testing.assert_array_equal(ds.labels, [1, 1, 2, 2])
 
+    def test_class_map_hash_inside_a_name_is_kept(self, tmp_path):
+        # '#' starts a comment only at line start or after whitespace
+        self._make_tree(tmp_path, names=("s#1", "s#2"))
+        mapping = tmp_path / "map.txt"
+        mapping.write_text("# folders of the first two subjects\ns#1 = 1 # first\ns#2 = 2\n")
+        assert parse_class_map(mapping) == {"s#1": 1, "s#2": 2}
+        ds = load_pgm_dir(tmp_path, parse_class_map(mapping))
+        np.testing.assert_array_equal(ds.labels, [1, 1, 2, 2])
+
     def test_missing_map_entry(self, tmp_path):
         self._make_tree(tmp_path)
         with pytest.raises(ConsistencyError):

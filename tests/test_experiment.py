@@ -490,3 +490,35 @@ class TestObjectiveScale:
         f_q = [evaluate_cost(m, dataclasses.replace(ctx, epsilon=eps), 0.0, 0.5).criterion
                for eps in (1e-9, 1e-7, 1e-5)]
         assert max(f_q) < 1.01 * min(f_q), f_q
+
+
+class TestOneSolvePerRun:
+    def test_gamma_cells_share_solves(self, idx_paths, tmp_path, monkeypatch):
+        calls = []
+        for module in (qfda.pso, qfda.experiment):
+            original = module.solve_subspace
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "solve_subspace", counted)
+        config = small_config(idx_paths, tmp_path, gamma_grid=[0.1, 1.0], iterations=1)
+        result = run_experiment(config)
+        first, second = result.grid.cells
+        # one round from the same seed: the second cell's vectors are all memo hits
+        assert second.pso.evaluations == first.pso.evaluations
+        assert len(calls) == first.pso.evaluations + 1  # the plain baseline solves once
+
+    def test_pool_matches_serial_on_a_two_by_two_grid(self, idx_paths, tmp_path):
+        outputs = []
+        for threads in (1, 2):
+            config = small_config(idx_paths, tmp_path / f"t{threads}", threads=threads,
+                                  gamma_grid=[0.1, 1.0], lambda_grid=[0.5, 2.0])
+            outputs.append(run_experiment(config).output_dir)
+        serial, pooled = outputs
+        names = ["grid.csv", "levels.csv"]
+        names += [f"model/{p.name}" for p in sorted((serial / "model").iterdir())]
+        assert len(names) > 2
+        for name in names:
+            assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name

@@ -7,7 +7,7 @@ import pytest
 
 from qfda.blockdct import BlockLayout, SpectrumSet
 from qfda.discriminant import criterion, quantized_scatters, solve_subspace
-from qfda.errors import DataError, OptimizationError
+from qfda.errors import DataError, NumericError, OptimizationError
 from qfda.pso import (
     CostBreakdown,
     CostContext,
@@ -259,3 +259,73 @@ class TestSingleRoundPath:
         result = run_pso(ctx, config, threads=1)
         assert len(record) == result.evaluations > 1
         assert {thread for _, thread in record} == {threading.get_ident()}
+
+
+class TestCostMemo:
+    def test_second_gamma_reuses_the_solve(self, monkeypatch):
+        ctx = make_ctx()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve_subspace(*args, **kwargs)
+
+        monkeypatch.setattr("qfda.pso.solve_subspace", counted)
+        m = np.minimum(ctx.bounds.ell, 3)
+        lo = evaluate_cost(m, ctx, gamma=0.1, lam=0.5)
+        hi = evaluate_cost(m, ctx, gamma=1.0, lam=0.5)
+        assert len(calls) == 1
+        assert hi.subspace is lo.subspace
+        assert hi.criterion == lo.criterion and hi.rate == lo.rate
+        assert hi.total == -hi.criterion + 1.0 * hi.rate
+        evaluate_cost(m, ctx, gamma=1.0, lam=2.0)
+        assert len(calls) == 2  # lambda is part of the key
+        fresh = evaluate_cost(m, make_ctx(), gamma=1.0, lam=0.5)
+        assert np.float64(fresh.total).tobytes() == np.float64(hi.total).tobytes()
+        assert fresh.subspace.u.tobytes() == hi.subspace.u.tobytes()
+
+    def test_failed_solve_is_tried_once(self, monkeypatch):
+        ctx = make_ctx()
+        calls = []
+
+        def breaking(*args, **kwargs):
+            calls.append(1)
+            raise NumericError("eigensolve failed")
+
+        monkeypatch.setattr("qfda.pso.solve_subspace", breaking)
+        m = np.minimum(ctx.bounds.ell, 3)
+        first = evaluate_cost(m, ctx, gamma=0.1, lam=0.5)
+        second = evaluate_cost(m, ctx, gamma=1.0, lam=0.5)
+        assert len(calls) == 1
+        assert first.total == second.total == np.inf
+        assert np.isnan(second.criterion) and second.subspace is None
+
+    def test_replace_starts_an_empty_memo(self):
+        ctx = make_ctx()
+        evaluate_cost(np.minimum(ctx.bounds.ell, 3), ctx, gamma=0.1, lam=0.5)
+        assert len(ctx.memo) == 1
+        assert dataclasses.replace(ctx, epsilon=1e-5).memo == {}
+        assert len(ctx.memo) == 1
+
+    def test_pool_shares_memo_across_gammas_without_changing_results(self):
+        configs = [PsoConfig(gamma=gamma, lam=0.5, particles=6, iterations=3, seed=4)
+                   for gamma in (0.3, 3.0)]
+        serial_ctx, pool_ctx = make_ctx(), make_ctx()
+        serial = [run_pso(serial_ctx, config, threads=1) for config in configs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = [run_pso(pool_ctx, config, threads=4) for config in configs]
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, pooled):
+            np.testing.assert_array_equal(a.best.m, b.best.m)
+            assert a.trace == b.trace
+            assert a.breakdown == b.breakdown
+            assert a.evaluations == b.evaluations
+        assert serial_ctx.memo.keys() == pool_ctx.memo.keys()
+        for key, (f_q, rbar, sub) in serial_ctx.memo.items():
+            other_f_q, other_rbar, other_sub = pool_ctx.memo[key]
+            assert np.float64(f_q).tobytes() == np.float64(other_f_q).tobytes()
+            assert np.float64(rbar).tobytes() == np.float64(other_rbar).tobytes()
+            assert sub.u.tobytes() == other_sub.u.tobytes()
