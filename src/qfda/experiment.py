@@ -382,24 +382,17 @@ def _fmt(value: float) -> str:
 
 def grid_csv(grid: GridResult, config: ExperimentConfig) -> str:
     """Validation mean errors, rows over gamma, columns over lambda."""
-    header = "gamma" + "".join(f",{_fmt(l)}" for l in config.lambda_grid)
-    by_pair = {(c.gamma, c.lam): c for c in grid.cells}
-    lines = [header]
-    for gamma in config.gamma_grid:
-        row = [_fmt(gamma)]
-        for lam in config.lambda_grid:
-            row.append(_fmt(by_pair[(gamma, lam)].val_report.mean))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    by_pair = {(c.gamma, c.lam): c.val_report.mean for c in grid.cells}
+    rows = [["gamma", *map(_fmt, config.lambda_grid)]]
+    rows += [[_fmt(gamma)] + [_fmt(by_pair[(gamma, lam)]) for lam in config.lambda_grid]
+             for gamma in config.gamma_grid]
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def errors_csv(report: EvalReport) -> str:
-    lines = ["q,error"]
-    for q, err in enumerate(report.per_dim_errors, start=1):
-        lines.append(f"{q},{_fmt(err)}")
-    lines.append(f"mean,{_fmt(report.mean)}")
-    lines.append(f"std,{_fmt(report.std)}")
-    return "\n".join(lines) + "\n"
+    rows = [("q", "error"), *enumerate(map(_fmt, report.per_dim_errors), start=1),
+            ("mean", _fmt(report.mean)), ("std", _fmt(report.std))]
+    return "".join(f"{key},{value}\n" for key, value in rows)
 
 
 def read_errors(path) -> tuple:
@@ -415,17 +408,12 @@ def read_errors(path) -> tuple:
 
 
 def levels_csv(levels: LevelVector) -> str:
-    lines = ["k,m"]
-    for k, m in enumerate(levels.m):
-        lines.append(f"{k},{int(m)}")
-    return "\n".join(lines) + "\n"
+    return "k,m\n" + "".join(f"{k},{int(m)}\n" for k, m in enumerate(levels.m))
 
 
 def trace_csv(pso: PsoResult) -> str:
-    lines = ["round,particle,cost,best_cost"]
-    for round_idx, particle, cost, best in pso.trace:
-        lines.append(f"{round_idx},{particle},{_fmt(cost)},{_fmt(best)}")
-    return "\n".join(lines) + "\n"
+    return "round,particle,cost,best_cost\n" + "".join(
+        f"{r},{i},{_fmt(cost)},{_fmt(best)}\n" for r, i, cost, best in pso.trace)
 
 
 def write_search(directory, pso: PsoResult) -> None:
@@ -484,18 +472,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     write_search(out, grid.chosen.pso)
     save_model(out / "model", bundle)
 
-    export_eigenfaces(
-        bundle.subspace,
-        prepared.layout,
-        min(config.eigenface_count, bundle.subspace.dim),
-        out / "eigenfaces",
-    )
-    export_quantized_images(
-        prepared.train,
-        bundle.spec,
-        prepared.mean_image,
-        out / "quantized",
-    )
+    export_eigenfaces(bundle.subspace, prepared.layout,
+                      min(config.eigenface_count, bundle.subspace.dim), out / "eigenfaces")
+    export_quantized_images(prepared.train, bundle.spec, prepared.mean_image, out / "quantized")
 
     notes = []
     m = bundle.levels.m

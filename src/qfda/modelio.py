@@ -105,6 +105,13 @@ def _parsed(path, payload, key, parse):
         raise FormatError(f"{path}: model file has a bad {key!r}: {exc}") from exc
 
 
+def _image_side(value) -> int:
+    """A JSON integer of at least 1; a JSON boolean is not one."""
+    if isinstance(value, bool) or operator.index(value) < 1:
+        raise ValueError(f"{value!r} is not a positive integer")
+    return value
+
+
 def load_model(directory) -> ModelBundle:
     """Read save_model's directory; a damaged model.json raises FormatError naming it."""
     directory = Path(directory)
@@ -120,8 +127,8 @@ def load_model(directory) -> ModelBundle:
             raise FormatError(f"{path}: model file is missing {key!r}")
     subspace_path = directory / SUBSPACE_FILE
     subspace = load_subspace(subspace_path)
-    layout = BlockLayout.for_image(_parsed(path, payload, "height", operator.index),
-                                   _parsed(path, payload, "width", operator.index))
+    layout = BlockLayout.for_image(_parsed(path, payload, "height", _image_side),
+                                   _parsed(path, payload, "width", _image_side))
     # subspace.bin is outside input, so its d' must match the image size
     if subspace.u.shape[0] != layout.d_prime:
         raise FormatError(f"{subspace_path}: subspace has d' = {subspace.u.shape[0]}, but "

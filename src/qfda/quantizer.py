@@ -13,9 +13,10 @@ which is the paper's parity form, (m_k + 2) / 2 for even m_k and
 with the floor result capped at t1 - 1 for x >= 0, so the top output level
 is exactly ell_k, and at m_k - t1 for x < 0, so the negative side has
 m_k - t1 levels; for odd m_k that cap is t1 - 1, the same as the positive
-side's.  The floor is evaluated by comparing |x| against the breakpoints
-j * ell_k / t1, which is exact in IEEE doubles where the naive floor can
-land one level low.
+side's.  The float floor, capped at t1 - 1, is corrected by one level up or
+down where |x| lies across a breakpoint j * ell_k / t1 (the integer j * ell_k
+divided once by t1), which is exact where the float floor alone can land one
+level off.  ell_k and m_k broadcast, so one call quantizes all 64 frequencies.
 """
 
 from dataclasses import dataclass
@@ -68,25 +69,46 @@ def vector_from_line(line: str) -> np.ndarray:
     return np.array([int(t) for t in line.strip().split(",")], dtype=np.int64)
 
 
+def _first_level(ell, m):
+    """t1 = floor(m / 2) + 1, elementwise, after checking 2 <= m <= ell."""
+    ell, m = np.broadcast_arrays(ell, m)
+    bad = (m < 2) | (m > ell)
+    if bad.any():
+        raise ValueError(f"level counts {m[bad]} outside [2, ell] for ell = {ell[bad]}")
+    return m // 2 + 1
+
+
 def staircase_params(ell: int, m: int):
     """(t1, t2, step, breakpoints) of the frequency staircase for (ell, m)."""
-    if not 2 <= m <= ell:
-        raise ValueError(f"level count {m} outside [2, {ell}]")
-    t1 = m // 2 + 1
+    t1 = int(_first_level(ell, m))
     t2 = ell * (t1 - 2) / t1
     step = ell / (t1 - 1)
     breakpoints = np.arange(1, t1) * ell / t1
     return t1, t2, step, breakpoints
 
 
-def quantize_values(values: np.ndarray, ell: int, m: int) -> np.ndarray:
-    """Apply one frequency's staircase to an array of coefficients."""
-    t1, _, step, breakpoints = staircase_params(int(ell), int(m))
+def quantize_values(values: np.ndarray, ell, m) -> np.ndarray:
+    """Apply the staircase of (ell, m), which broadcast against values.
+
+    Scalars apply one frequency's staircase; (64, 1) columns over a
+    (blocks, 64, n) view apply all 64 in one pass.
+    """
+    t1 = _first_level(ell, m)
     # values at or below -(m - t1) ell / t1, a breakpoint or 0, take the
     # negative side's last level, m - t1
-    clipped = np.maximum(values, -(m - t1) * ell / t1)
-    level = np.searchsorted(breakpoints, np.abs(clipped), side="right")
-    return np.sign(values) * step * level
+    mag = np.abs(np.maximum(values, -(m - t1) * ell / t1))
+    level = np.floor(mag * t1 / ell)
+    # up one where |x| reaches breakpoint level + 1, cap at t1 - 1, down one
+    # where |x| is below breakpoint level; out= holds the full-size arrays at
+    # three, as numpy cannot reuse a temporary that meets a broadcast operand
+    edge = np.add(level, 1)
+    level += np.divide(np.multiply(edge, ell, out=edge), t1, out=edge) <= mag
+    np.minimum(level, t1 - 1, out=level)
+    level -= np.divide(np.multiply(level, ell, out=edge), t1, out=edge) > mag
+    out = np.sign(values, out=mag)
+    out *= ell / (t1 - 1)
+    out *= level
+    return out
 
 
 @dataclass(frozen=True)
@@ -97,9 +119,7 @@ class QuantizerSpec:
     levels: LevelVector
 
     def __post_init__(self):
-        m, ell = self.levels.m, self.bounds.ell
-        if (m < 2).any() or (m > ell).any():
-            raise ValueError("levels must satisfy 2 <= m_k <= ell_k")
+        _first_level(self.bounds.ell, self.levels.m)
 
     def edges(self, k: int) -> np.ndarray:
         """The m_k - 1 finite cell edges of frequency k, ascending.
@@ -145,18 +165,9 @@ def estimate_bounds(train: SpectrumSet, s: int, seed: int) -> BoundVector:
 
 def quantize(spectra: SpectrumSet, spec: QuantizerSpec) -> SpectrumSet:
     """Quantize every coefficient with its frequency's staircase."""
-    blocks = spectra.layout.blocks_per_image
-    stacked = spectra.coeffs.reshape(blocks, NUM_FREQUENCIES, spectra.n)
-    out = np.empty_like(stacked)
-    for k in range(NUM_FREQUENCIES):
-        out[:, k, :] = quantize_values(
-            stacked[:, k, :], int(spec.bounds.ell[k]), int(spec.levels.m[k])
-        )
-    return SpectrumSet(
-        coeffs=out.reshape(spectra.coeffs.shape[0], spectra.n),
-        layout=spectra.layout,
-        labels=spectra.labels.copy(),
-    )
+    stacked = spectra.coeffs.reshape(spectra.layout.blocks_per_image, NUM_FREQUENCIES, spectra.n)
+    out = quantize_values(stacked, spec.bounds.ell[:, None], spec.levels.m[:, None])
+    return SpectrumSet(out.reshape(spectra.coeffs.shape), spectra.layout, spectra.labels.copy())
 
 
 def project_levels(raw, bounds: BoundVector) -> LevelVector:

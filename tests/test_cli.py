@@ -414,9 +414,11 @@ class TestDamagedModel:
 
 @pytest.mark.parametrize("key, value", [
     ("levels", "a,b"), ("bounds", "3,4"), ("height", "x"),
-    ("levels", ",".join(["1"] * 64)), ("levels", "ell+1")],
+    ("levels", ",".join(["1"] * 64)), ("levels", "ell+1"),
+    ("height", 0), ("width", -3), ("height", True)],
     ids=["levels-not-integers", "bounds-2-entries", "height-string",
-         "levels-below-2", "levels-above-ell"])
+         "levels-below-2", "levels-above-ell", "height-zero", "width-negative",
+         "height-boolean"])
 def test_damaged_model_value_exits_1(idx_paths, model_dir, tmp_path, key, value,
                                      capsys):
     model = tmp_path / "model"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qfda.blockdct import forward_dct
+from qfda.blockdct import BlockLayout, SpectrumSet
 from qfda.dataset import CenteredImageSet
 from qfda.errors import DataError
 from qfda.quantizer import (
@@ -209,6 +210,44 @@ class TestQuantizeSpectra:
         once = quantize(spectra, spec)
         twice = quantize(once, spec)
         np.testing.assert_array_equal(once.coeffs, twice.coeffs)
+
+    def test_exact_breakpoints_match_searchsorted_reference(self):
+        # every (ell <= 40, m) gets its own frequency of one spec; each is fed
+        # its exact breakpoints, their float neighbours, +-0, +-ell and +-1e9,
+        # and must give the bytes of a breakpoint search after the negative clip
+        def reference(values, ell, m):
+            t1, _, step, breakpoints = staircase_params(ell, m)
+            clipped = np.maximum(values, -(m - t1) * ell / t1)
+            return np.sign(values) * step * np.searchsorted(breakpoints, np.abs(clipped),
+                                                            side="right")
+
+        def inputs(ell, m):
+            b = staircase_params(ell, m)[3]
+            b = np.concatenate([b, np.nextafter(b, 0.0), np.nextafter(b, np.inf)])
+            return np.concatenate([b, -b, [0.0, -0.0, ell, -ell, 1e9, -1e9]])
+
+        pairs = [(ell, m) for ell in range(2, 41) for m in range(2, ell + 1)]
+        pairs = [pairs[i] for i in np.random.default_rng(0).permutation(len(pairs))]
+        layout = BlockLayout.for_image(16, 16)
+        blocks = layout.blocks_per_image
+        n = -(-len(inputs(40, 40)) // blocks)  # the most inputs of any pair
+        for start in range(0, len(pairs), 64):
+            chunk = pairs[start:start + 64]
+            chunk += [(2, 2)] * (64 - len(chunk))
+            stacked = np.zeros((64, blocks * n))
+            for k, (ell, m) in enumerate(chunk):
+                xs = inputs(ell, m)
+                stacked[k, :len(xs)] = xs
+            # row b * 64 + k of a spectrum holds frequency k of block b
+            coeffs = stacked.reshape(64, blocks, n).transpose(1, 0, 2).reshape(-1, n)
+            spectra = SpectrumSet(coeffs=coeffs.copy(), layout=layout,
+                                  labels=np.zeros(n, dtype=np.int64))
+            ell, m = (np.array(v, dtype=np.int64) for v in zip(*chunk))
+            spec = QuantizerSpec(bounds=BoundVector(ell=ell), levels=LevelVector(m=m))
+            got = quantize(spectra, spec).coeffs.reshape(blocks, 64, n)
+            for k, (ell_k, m_k) in enumerate(chunk):
+                expected = reference(coeffs.reshape(blocks, 64, n)[:, k, :], ell_k, m_k)
+                assert got[:, k, :].tobytes() == expected.tobytes(), (ell_k, m_k)
 
 
 class TestProjectLevels:
