@@ -65,9 +65,11 @@ def knn_error(
     Entry q - 1 scores the first q rows (directions) of the (rows, n)
     coordinate arrays.  Squared distances are accumulated one direction at
     a time, so memory stays at one (eval, train) array.  Class ids may be
-    any integers.  Distance ties resolve to the smaller training index
-    (stable sort) and vote ties to the smaller class id (the first maximum
-    over the sorted ids), so repeated runs agree exactly.
+    any integers.  The neighbours are the first k of a stable sort of each
+    row, found by partial selection: every distance below the k-th smallest,
+    then the lowest-index entries equal to it.  Vote ties go to the smaller
+    class id (the first maximum over the sorted ids), so repeated runs agree
+    exactly.
     """
     if eval_coords.shape[1] == 0:
         raise DataError("cannot evaluate on an empty set")
@@ -82,8 +84,17 @@ def knn_error(
     for q, (train_row, eval_row) in enumerate(zip(train_coords, eval_coords)):
         diff = eval_row[:, None] - train_row[None, :]
         d2 += diff * diff
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        votes = (train_labels[order][:, :, None] == classes).sum(axis=1)
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+        nearer = d2 < kth
+        tied = d2 == kth
+        # where more entries tie at the k-th distance than fit, keep the
+        # lowest-index ones
+        room = k - nearer.sum(axis=1)
+        crowded = np.flatnonzero(tied.sum(axis=1) > room)
+        tied[crowded] &= np.cumsum(tied[crowded], axis=1) <= room[crowded, None]
+        # k chosen per row, so row-major column indices are the neighbours
+        neighbours = np.nonzero(nearer | tied)[1].reshape(-1, k)
+        votes = (train_labels[neighbours][:, :, None] == classes).sum(axis=1)
         predicted = classes[votes.argmax(axis=1)]
         errors[q] = np.mean(predicted != eval_labels)
     return errors

@@ -3,8 +3,8 @@
 Each frequency's coefficient distribution is estimated with a Gaussian
 kernel density over the bootstrap sample quantizer.bootstrap_frequencies
 draws.  The probability mass p_t landing in each cell of the staircase,
-whose edges QuantizerSpec.edges gives, comes from the closed-form mixture
-CDF, and the per-frequency rate is the interval entropy
+whose edges QuantizerSpec.edges gives, comes from the mixture CDF, and the
+per-frequency rate is the interval entropy
 
     r_k = -sum_t p_t log2 p_t        (0 log 0 = 0)
 
@@ -14,14 +14,31 @@ r_k depends only on (ell_k, m_k) and on the density, which is fitted once
 per run, so each term is computed once and stored on the density under
 (k, ell_k, m_k); every later evaluation, in any thread, reads it back.
 
-A CDF value is the mean of ndtr((x - sample) / h) over the samples, and
-only the samples within SATURATION bandwidths of x can move it.  ndtr
-rounds to exactly 1.0 from about z = 8.29 on, so a sample at z >= SATURATION
-adds exactly its count; one at z <= -SATURATION adds at most 5.3e-17, so
-leaving all of those out moves the mean by less than half the spacing of
-doubles near 1.  The density keeps each frequency's samples sorted and
-de-duplicated (a bootstrap pool repeats whole images), so the saturated
-samples are one cumulative count and ndtr runs only on the window between.
+Exact CDF.  A CDF value is the mean of ndtr((x - sample) / h) over the
+samples, and only the samples within SATURATION bandwidths of x can move it.
+ndtr rounds to exactly 1.0 from about z = 8.29 on, so a sample at
+z >= SATURATION adds exactly its count; one at z <= -SATURATION adds at most
+5.3e-17, so leaving all of those out moves the mean by less than half the
+spacing of doubles near 1.  The density keeps each frequency's samples
+sorted and de-duplicated (a bootstrap pool repeats whole images), so the
+saturated samples are one cumulative count and ndtr runs only on the window
+between.  FrequencyDensity.cdf is this sum.
+
+CDF tables (a binned KDE: Silverman, Applied Statistics 1982; Wand, JCGS
+1994).  The cells' masses are read from a table of each frequency's CDF,
+built once per density, so a fill costs one interpolation per edge however
+many samples there are.  The table has GRID_STEPS points per bandwidth and
+reaches GRID_MARGIN bandwidths beyond the outermost samples; an edge outside
+it reads exactly 0 or 1.  The samples are linearly binned onto the grid and
+convolved with ndtr(j / GRID_STEPS) by one FFT, and the samples already
+saturated at a point add their cumulative count.  Linear binning and linear
+interpolation each move a CDF value by at most (delta/h)^2 max|phi'| / 8, so
+a table value is within TABLE_ERROR = phi(1) / (4 GRID_STEPS^2) = 1.5e-5 of
+the exact sum.  A frequency whose table would need more than TABLE_LIMIT
+points per sample (fewer than 289 samples, or a wide span at a small
+bandwidth) keeps the exact sum instead.  Tables are built with the density,
+before any swarm thread starts, and only read afterwards, so no lock is
+taken.
 """
 
 from dataclasses import dataclass, field
@@ -34,16 +51,22 @@ from .quantizer import NUM_FREQUENCIES, QuantizerSpec, bootstrap_frequencies
 
 BANDWIDTH_FLOOR = 1e-6
 SATURATION = 8.3  # |z| beyond which a kernel's CDF term is 0 or 1 to rounding
+GRID_STEPS = 64   # CDF table points per bandwidth
+GRID_MARGIN = 9   # bandwidths of table beyond the outermost samples
+TABLE_LIMIT = 4   # most table points per sample; a larger table keeps the exact sum
+TABLE_ERROR = float(np.exp(-0.5) / np.sqrt(2 * np.pi)) / (4 * GRID_STEPS ** 2)
 
 
 @dataclass(frozen=True)
 class FrequencyDensity:
     """Gaussian-KDE model per frequency: sample points plus bandwidths.
 
-    `rates` holds every r_k computed so far, keyed by (k, ell_k, m_k), and
+    `rates` holds every r_k computed so far, keyed by (k, ell_k, m_k);
     `support` holds each frequency's sorted distinct samples, their counts
-    and the cumulative counts before each, for the life of the density;
-    `samples` and `bandwidth` must therefore not be changed after fitting.
+    and the cumulative counts before each; and `tables` holds each
+    frequency's CDF table as (first grid point, CDF values), or None where
+    the exact sum is kept.  All three live as long as the density, so
+    `samples` and `bandwidth` must not be changed after fitting.
     """
 
     samples: np.ndarray    # (64, N) pooled coefficients, image-major order
@@ -52,6 +75,7 @@ class FrequencyDensity:
     s: int
     rates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     support: tuple = field(init=False, repr=False, compare=False)
+    tables: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.samples.ndim != 2 or self.samples.shape[0] != NUM_FREQUENCIES:
@@ -66,6 +90,40 @@ class FrequencyDensity:
             support.append((values, counts.astype(np.float64),
                             np.concatenate([[0.0], np.cumsum(counts, dtype=np.float64)])))
         object.__setattr__(self, "support", tuple(support))
+        kernels = {}  # FFT length -> transform of the ndtr kernel
+        object.__setattr__(self, "tables", tuple(
+            self._table(k, kernels) for k in range(NUM_FREQUENCIES)))
+
+    def _table(self, k: int, kernels: dict):
+        """Frequency k's CDF on its grid, or None where the exact sum is kept."""
+        values, counts, _ = self.support[k]
+        n = self.samples.shape[1]
+        h = self.bandwidth[k]
+        step = h / GRID_STEPS
+        margin = GRID_MARGIN * GRID_STEPS
+        span = (values[-1] - values[0]) / step
+        if span + 2 * margin + 1 > TABLE_LIMIT * n:
+            return None
+        size = int(np.ceil(span)) + 2 * margin + 1
+        # linear binning: each distinct sample splits its count between the
+        # two grid points around it
+        u = margin + (values - values[0]) / step
+        below = np.floor(u).astype(np.intp)
+        above = (u - below) * counts
+        weights = np.bincount(np.concatenate([below, below + 1]),
+                              np.concatenate([counts - above, above]), minlength=size)
+        # table[i] = sum_j weights[j] ndtr((i - j) / GRID_STEPS): the terms with
+        # |i - j| <= reach by one FFT, the saturated ones (i - j > reach) as a
+        # cumulative count
+        reach = int(np.ceil(SATURATION * GRID_STEPS))
+        length = 1 << (size + reach - 1).bit_length()
+        if length not in kernels:
+            kernel = ndtr(np.arange(-reach, reach + 1) / GRID_STEPS)
+            kernels[length] = np.fft.rfft(kernel, length)
+        table = np.fft.irfft(np.fft.rfft(weights, length) * kernels[length],
+                             length)[reach:reach + size]
+        table[reach + 1:] += np.cumsum(weights)[:size - reach - 1]
+        return values[0] - margin * step, np.clip(table / n, 0.0, 1.0)
 
     def cdf(self, k: int, x) -> np.ndarray:
         """Mixture CDF of frequency k evaluated at x (scalar or array).
@@ -90,6 +148,20 @@ class FrequencyDensity:
         if nonempty.any():
             inside[nonempty] = np.add.reduceat(terms, starts[nonempty])
         return ((before[lo] + inside) / self.samples.shape[1]).reshape(x.shape)
+
+    def table_cdf(self, k: int, x) -> np.ndarray:
+        """Mixture CDF of frequency k at x, interpolated on its table.
+
+        Within TABLE_ERROR of cdf(k, x); a frequency without a table returns
+        cdf(k, x) itself.
+        """
+        if self.tables[k] is None:
+            return self.cdf(k, x)
+        start, table = self.tables[k]
+        u = (np.asarray(x, dtype=np.float64) - start) / (self.bandwidth[k] / GRID_STEPS)
+        i = np.clip(np.floor(u), 0, len(table) - 2).astype(np.intp)
+        inside = table[i] + (u - i) * (table[i + 1] - table[i])
+        return np.where(u <= 0, 0.0, np.where(u >= len(table) - 1, 1.0, inside))
 
 
 def silverman_bandwidth(samples: np.ndarray) -> np.ndarray:
@@ -135,10 +207,13 @@ class RateReport:
 
 
 def interval_masses(density: FrequencyDensity, spec: QuantizerSpec, k: int):
-    """Probability mass of each quantization interval of frequency k."""
+    """Probability mass of each quantization interval of frequency k.
+
+    The edges' CDF values come from the frequency's table (table_cdf).
+    """
     intervals = interval_partition(spec, k)
     interior = np.array([hi for _, hi in intervals[:-1]])
-    cdf = density.cdf(k, interior)
+    cdf = density.table_cdf(k, interior)
     masses = np.diff(np.concatenate([[0.0], cdf, [1.0]]))
     return masses, intervals
 

@@ -79,6 +79,34 @@ class TestKnnError:
                             for q in range(1, rows + 1)]
                 assert got.tolist() == expected
 
+    def test_matches_full_stable_sort_under_heavy_ties(self):
+        # reference: stable-argsort each whole row and vote with its first k;
+        # coordinates in {0, 1, 2} tie most distances, and k reaches past
+        # crowds of ties at the k-th distance
+        def full_sort(tc, tl, ec, el, k):
+            classes = np.unique(tl)
+            d2 = np.zeros((ec.shape[1], tc.shape[1]))
+            errors = []
+            for train_row, eval_row in zip(tc, ec):
+                d2 += (eval_row[:, None] - train_row[None, :]) ** 2
+                order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+                votes = (tl[order][:, :, None] == classes).sum(axis=1)
+                errors.append(np.mean(classes[votes.argmax(axis=1)] != el))
+            return np.array(errors)
+
+        rng = np.random.default_rng(31)
+        ids = np.array([1, 4, 6, 11])
+        for trial in range(12):
+            n_train = int(rng.integers(40, 160))
+            n_eval = int(rng.integers(20, 80))
+            k = int(rng.integers(1, n_train + 1)) if trial % 3 == 0 else int(rng.integers(1, 16))
+            tc = rng.integers(0, 3, size=(6, n_train)).astype(np.float64)
+            ec = rng.integers(0, 3, size=(6, n_eval)).astype(np.float64)
+            tl = ids[rng.integers(0, 4, size=n_train)]
+            el = ids[rng.integers(0, 4, size=n_eval)]
+            got = knn_error(tc, tl, ec, el, k)
+            assert got.tobytes() == full_sort(tc, tl, ec, el, k).tobytes(), (trial, k)
+
     def test_self_evaluation_is_zero(self):
         rng = np.random.default_rng(24)
         coords = rng.normal(size=(3, 30))

@@ -15,6 +15,7 @@ from qfda.quantizer import (
 from qfda.rate import (
     BANDWIDTH_FLOOR,
     SATURATION,
+    TABLE_ERROR,
     FrequencyDensity,
     fit_density,
     interval_masses,
@@ -348,3 +349,85 @@ class TestWindowedCdf:
         self.assert_matches_full_sum(density, 5, float(np.median(values)))
         grid = np.linspace(values[0] - 1, values[-1] + 1, 24).reshape(4, 6)
         self.assert_matches_full_sum(density, 5, grid)
+
+
+def entropy_bits(masses):
+    positive = masses[masses > 0.0]
+    return -(positive * np.log2(positive)).sum()
+
+
+class TestCdfTable:
+    """Fills interpolate a per-frequency CDF table; cdf stays the exact sum."""
+
+    @staticmethod
+    def bootstrap_density(draws=1600, seed=22):
+        # whole images drawn with replacement, as the bootstrap pool draws them
+        rng = np.random.default_rng(seed)
+        images = rng.normal(0, rng.uniform(0.5, 40, size=(64, 1)), size=(64, 120))
+        samples = images[:, rng.integers(0, 120, size=draws)]
+        return FrequencyDensity(samples=samples,
+                                bandwidth=silverman_bandwidth(samples), seed=0, s=120)
+
+    @staticmethod
+    def exact_masses(density, spec, k):
+        cdf = density.cdf(k, spec.edges(k))
+        return np.diff(np.concatenate([[0.0], cdf, [1.0]]))
+
+    def test_table_within_stated_bound_of_exact_cdf(self):
+        density = self.bootstrap_density()
+        assert all(table is not None for table in density.tables)
+        for k in (0, 1, 17, 40, 63):
+            values = density.support[k][0]
+            h = density.bandwidth[k]
+            x = np.linspace(values[0] - 10 * h, values[-1] + 10 * h, 5001)
+            gap = np.abs(density.table_cdf(k, x) - density.cdf(k, x)).max()
+            assert gap <= TABLE_ERROR, f"gap {gap:.3g} at frequency {k}"
+
+    def test_rate_terms_within_1e_5_bits_of_exact(self):
+        density = self.bootstrap_density()
+        rng = np.random.default_rng(5)
+        peaks = np.abs(density.samples).max(axis=1)
+        ell = np.maximum(2, np.floor(peaks + 0.5)).astype(np.int64)
+        worst = 0.0
+        for _ in range(10):
+            spec = spec_of(ell, rng.integers(2, ell + 1))
+            report = rate(density, spec)
+            exact = [entropy_bits(self.exact_masses(density, spec, k)) for k in range(64)]
+            worst = max(worst, np.abs(report.per_frequency - exact).max())
+        assert worst <= 1e-5, f"largest |dr_k| {worst:.3g} bits"
+
+    def test_edges_outside_the_table_read_exactly_0_and_1(self):
+        density = self.bootstrap_density()
+        for k in (3, 50):
+            start, table = density.tables[k]
+            step = density.bandwidth[k] / 64
+            end = start + (len(table) - 1) * step
+            x = np.array([-1e9, start - step, start, end, end + step, 1e9])
+            got = density.table_cdf(k, x)
+            assert got[[0, 1, 2]].tolist() == [0.0, 0.0, 0.0]
+            assert got[[3, 4, 5]].tolist() == [1.0, 1.0, 1.0]
+
+    def test_small_sample_keeps_exact_sum(self):
+        # criterion 5's sample counts: every table would exceed the limit
+        rng = np.random.default_rng(6)
+        for n in (5, 40, 144):
+            density = flat_density(rng.normal(0, 3, size=n), bandwidth=0.9)
+            assert all(table is None for table in density.tables)
+            spec = uniform_spec(7, 5)
+            masses, _ = interval_masses(density, spec, 0)
+            assert masses.tobytes() == self.exact_masses(density, spec, 0).tobytes()
+
+    def test_bandwidth_floor_with_wide_span_keeps_exact_sum(self):
+        density = self.bootstrap_density()
+        samples = density.samples.copy()
+        samples[9] = 0.0
+        samples[9, ::400] = 30.0  # a few far outliers pin the IQR at zero
+        floored = FrequencyDensity(samples=samples,
+                                   bandwidth=silverman_bandwidth(samples), seed=0, s=120)
+        assert floored.bandwidth[9] == BANDWIDTH_FLOOR
+        assert floored.tables[9] is None
+        assert floored.tables[8] is not None
+        spec = uniform_spec(31, 7)
+        masses, _ = interval_masses(floored, spec, 9)
+        assert masses.tobytes() == self.exact_masses(floored, spec, 9).tobytes()
+        assert masses[-1] == pytest.approx(4 / 1600, abs=1e-15)
