@@ -21,17 +21,20 @@ and B H_W is B less each column's class mean.  The plain pair takes
 A = B = X; the quantized pair A = X' + lambda X and B = X'.
 
 Every scatter has the form X A X'^T, so it lives in the span of the stacked
-columns [X, X'].  A ScatterPair always carries an orthonormal basis Q
-(d' x r) of a space holding that span, with the r x r scatters
-T = Q^T S_T Q and W = Q^T S_W Q.  With fewer stacked columns than d'
-coordinates, Q comes from the QR factorization [X, X'] = Q R (r <= 2n) and
-the scatters are built by the same products on the coordinates R;
-otherwise Q = I (r = d') and they are the d' x d' scatters.  This is exact:
-S_T = Q T Q^T, |S_W| = Q |W| Q^T, and outside span(Q) S_T = 0, so the
-pencil's eigenvalues there are 0 and its top p eigenpairs, when
-non-negative, are those of the r x r pencil (T, |W| + eps I) lifted by Q.
-Solve cost therefore scales with min(2n, d'), and no d' x d' matrix is
-formed for undersampled data unless a caller reads s_t, s_w or s_b.
+columns [X, X'].  A ScatterPair stands for an orthonormal basis Q (d' x r)
+of a space holding that span, with the r x r scatters T = Q^T S_T Q and
+W = Q^T S_W Q.  With fewer stacked columns than d' coordinates, Q comes from
+the QR factorization [X, X'] = Q R (r <= 2n) and the scatters are built by
+the same products on the coordinates R; otherwise Q = I (r = d') and they
+are the d' x d' scatters.  This is exact: S_T = Q T Q^T, |S_W| = Q |W| Q^T,
+and outside span(Q) S_T = 0, so the pencil's eigenvalues there are 0 and its
+top p eigenpairs, when non-negative, are those of the r x r pencil
+(T, |W| + eps I) lifted by Q.  Q is kept as the QR's Householder reflectors:
+lifting the p eigenvectors and taking them back are each one LAPACK dormqr
+on p columns, and the explicit d' x r Q is formed only when something reads
+ScatterPair.basis.  Solve cost therefore scales with min(2n, d'), and no
+d' x d' matrix is formed for undersampled data unless a caller reads s_t,
+s_w or s_b.
 """
 
 from dataclasses import dataclass
@@ -39,6 +42,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .blockdct import SpectrumSet
 from .errors import ConsistencyError, DataError, NumericError
@@ -51,19 +55,54 @@ def _sym(a: np.ndarray) -> np.ndarray:
 class ScatterPair:
     """Total and within-class scatter of one spectra set, S = Q M Q^T.
 
-    The given matrices are the r x r scatters T and W in the coordinates of
-    the basis Q (d' x r, orthonormal columns).  basis=None stands for Q = I
-    (r = d'); the constructor stores it as np.eye(r), so every reader sees
-    an array.  s_t, s_w and s_b lift to d' x d' only when read.
+    The given matrices are the symmetric r x r scatters T and W in the
+    coordinates of the basis Q (d' x r, orthonormal columns).  Q is held as
+    reflectors = (a, tau), the Householder vectors of a QR factorization in
+    LAPACK's layout (a is d' x r), or None for Q = I (r = d').  lift and
+    coordinates apply Q and Q^T to a few columns without forming Q; basis,
+    s_t, s_w and s_b form their d' x r or d' x d' arrays only when read.
     """
 
     def __init__(self, s_t: np.ndarray, s_w: np.ndarray, lam: float, kind: str,
-                 basis: np.ndarray | None = None):
+                 reflectors: tuple[np.ndarray, np.ndarray] | None = None):
         self.t = s_t
         self.w = s_w
         self.lam = lam
         self.kind = kind  # "plain" or "quantized"
-        self.basis = np.eye(s_t.shape[0]) if basis is None else basis
+        self.reflectors = reflectors
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(d', r), the shape of Q."""
+        r = self.t.shape[0]
+        return (r, r) if self.reflectors is None else (self.reflectors[0].shape[0], r)
+
+    def _apply(self, trans: str, c: np.ndarray) -> np.ndarray:
+        """Q c ("N") or Q^T c ("T"), overwriting c, a Fortran-ordered d' x k array."""
+        a, tau = self.reflectors
+        lwork = int(lapack.dormqr("L", trans, a, tau, c, -1)[1][0])
+        return lapack.dormqr("L", trans, a, tau, c, lwork, overwrite_c=1)[0]
+
+    def lift(self, z: np.ndarray) -> np.ndarray:
+        """Q z: columns z in the pair's r coordinates as d' vectors."""
+        if self.reflectors is None:
+            return z
+        padded = np.zeros((self.shape[0], z.shape[1]), order="F")
+        padded[:z.shape[0]] = z
+        return self._apply("N", padded)
+
+    def coordinates(self, u: np.ndarray) -> np.ndarray:
+        """Q^T u: d' vectors u in the pair's r coordinates."""
+        if self.reflectors is None:
+            return u
+        return self._apply("T", np.array(u, order="F"))[:self.shape[1]]
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """Q itself, d' x r; np.eye(d') when Q = I."""
+        if self.reflectors is None:
+            return np.eye(self.shape[1])
+        return lapack.dorgqr(*self.reflectors)[0]
 
     def _lift(self, a: np.ndarray) -> np.ndarray:
         return _sym(self.basis @ a @ self.basis.T)
@@ -82,14 +121,22 @@ class ScatterPair:
 
 
 def _span_coordinates(*blocks: np.ndarray):
-    """(Q, coordinates): an orthonormal basis Q of the blocks' stacked
-    columns and each block in it, the column blocks of the QR factor
-    R = Q^T [blocks].  With at least as many columns as rows there is no
-    QR: Q is None and the blocks are their own coordinates."""
-    if sum(b.shape[1] for b in blocks) >= blocks[0].shape[0]:
+    """(reflectors, coordinates): the Householder reflectors (a, tau) of the
+    QR factorization of the blocks' stacked columns, and each block in its
+    basis Q, the column blocks of R = Q^T [blocks].  The stacked matrix is
+    Fortran-ordered, so a is too and LAPACK reads it without a copy; R is
+    C-ordered like the reduced QR's, so the scatter products see the same
+    bytes in the same layout.  With at least as many columns as rows there
+    is no QR: the reflectors are None (Q = I) and the blocks are their own
+    coordinates."""
+    cols = sum(b.shape[1] for b in blocks)
+    if cols >= blocks[0].shape[0]:
         return None, blocks
-    q, r = np.linalg.qr(np.hstack(blocks))
-    return q, np.hsplit(r, len(blocks))
+    stacked = np.empty((blocks[0].shape[0], cols), order="F")
+    h, tau = np.linalg.qr(np.concatenate(blocks, axis=1, out=stacked), mode="raw")
+    a = h.T
+    r = np.ascontiguousarray(np.triu(a[:a.shape[1]]))
+    return (a, tau), np.hsplit(r, len(blocks))
 
 
 def _scatter_products(a: np.ndarray, b: np.ndarray, labels: np.ndarray):
@@ -104,9 +151,10 @@ def _scatter_products(a: np.ndarray, b: np.ndarray, labels: np.ndarray):
 
 def plain_scatters(spectra: SpectrumSet) -> ScatterPair:
     """S_T and S_W of unquantized spectra."""
-    basis, (x,) = _span_coordinates(spectra.coeffs)
+    reflectors, (x,) = _span_coordinates(spectra.coeffs)
     s_t, s_w = _scatter_products(x, x, spectra.labels)
-    return ScatterPair(s_t=s_t, s_w=s_w, lam=0.0, kind="plain", basis=basis)
+    return ScatterPair(s_t=_sym(s_t), s_w=_sym(s_w), lam=0.0, kind="plain",
+                       reflectors=reflectors)
 
 
 def quantized_scatters(
@@ -117,10 +165,10 @@ def quantized_scatters(
         raise ConsistencyError("spectra and quantized spectra differ in shape")
     if not np.array_equal(spectra.labels, quantized.labels):
         raise ConsistencyError("spectra and quantized spectra labels differ")
-    basis, (x, xq) = _span_coordinates(spectra.coeffs, quantized.coeffs)
+    reflectors, (x, xq) = _span_coordinates(spectra.coeffs, quantized.coeffs)
     s_t, s_w = _scatter_products(xq + lam * x, xq, spectra.labels)
     return ScatterPair(s_t=_sym(s_t), s_w=_sym(s_w), lam=float(lam),
-                       kind="quantized", basis=basis)
+                       kind="quantized", reflectors=reflectors)
 
 
 @dataclass
@@ -154,22 +202,22 @@ def solve_subspace(pair: ScatterPair, p: int, epsilon: float) -> Subspace:
     than the span holds (p > r) raises DataError: the rest would be
     arbitrary directions with eigenvalue 0.
     """
-    d, r = pair.basis.shape
+    d, r = pair.shape
     if not 1 <= p <= d:
         raise ValueError(f"subspace dimension {p} outside [1, {d}]")
     if p > r:
         raise DataError(f"cannot take {p} discriminant directions from data "
                         f"spanning only r = {r} of {d} dimensions")
     try:
-        w, v = np.linalg.eigh(_sym(pair.w))
+        w, v = np.linalg.eigh(pair.w)
         whiten = v / np.sqrt(np.abs(w) + epsilon)
-        m_std = _sym(whiten.T @ _sym(pair.t) @ whiten)
+        m_std = _sym(whiten.T @ pair.t @ whiten)
         vals, y = scipy.linalg.eigh(m_std, subset_by_index=[r - p, r - 1])
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"generalized eigensolve failed: {exc}") from exc
     if not np.isfinite(vals).all():
         raise NumericError("eigensolve produced non-finite eigenvalues")
-    vecs = pair.basis @ (whiten @ y)
+    vecs = pair.lift(whiten @ y)
     vals, vecs = vals[::-1].copy(), vecs[:, ::-1]  # eigh sorts ascending
     anchors = np.abs(vecs).argmax(axis=0)
     signs = np.sign(vecs[anchors, np.arange(p)])
@@ -188,7 +236,7 @@ def criterion(pair: ScatterPair, subspace: Subspace, q: int | None = None) -> fl
     scatters; only the shift term needs U itself.
     """
     u = subspace.u if q is None else subspace.u[:, :q]
-    v = pair.basis.T @ u
+    v = pair.coordinates(u)
     num = np.trace(v.T @ pair.t @ v)
     den = np.trace(v.T @ pair.w @ v) + subspace.epsilon * np.trace(u.T @ u)
     if den <= 0:

@@ -8,6 +8,7 @@ from qfda.blockdct import BlockLayout, SpectrumSet
 from qfda.discriminant import (
     ScatterPair,
     Subspace,
+    _scatter_products,
     criterion,
     plain_scatters,
     quantized_scatters,
@@ -387,6 +388,58 @@ class TestSpanReduction:
         assert solve_subspace(pair, 5, EPS).dim == 5
         with pytest.raises(DataError, match="6 .* r = 5"):
             solve_subspace(pair, 6, EPS)
+
+
+class TestHouseholderBasis:
+    def test_scatters_are_the_products_on_the_reduced_qr_r(self):
+        # the reflectors come from the same QR as the reduced factorization,
+        # so T and W are the bytes the explicit-Q code built
+        d, n, lam = 1024, 60, 0.5
+        spectra, quantized = quantized_pair_spectra(d, n, seed=36)
+        x, xq, labels = spectra.coeffs, quantized.coeffs, spectra.labels
+        r = np.linalg.qr(np.hstack([x, xq]))[1]
+        rx, rq = np.hsplit(r, 2)
+        s_t, s_w = _scatter_products(rq + lam * rx, rq, labels)
+        pair = quantized_scatters(spectra, quantized, lam)
+        np.testing.assert_array_equal(pair.t, 0.5 * (s_t + s_t.T))
+        np.testing.assert_array_equal(pair.w, 0.5 * (s_w + s_w.T))
+
+        s_t, s_w = _scatter_products(*[np.linalg.qr(x)[1]] * 2, labels)
+        plain = plain_scatters(spectra)
+        np.testing.assert_array_equal(plain.t, 0.5 * (s_t + s_t.T))
+        np.testing.assert_array_equal(plain.w, 0.5 * (s_w + s_w.T))
+
+    @pytest.mark.parametrize("d", [256, 64])
+    def test_lift_and_coordinates_match_the_explicit_basis(self, d):
+        # d' = 256 keeps reflectors of an 80-column span; d' = 64 is Q = I
+        spectra, quantized = quantized_pair_spectra(d, 40, seed=37)
+        pair = quantized_scatters(spectra, quantized, lam=2.0)
+        _, r = pair.shape
+        assert pair.basis.shape == (d, min(d, 80))
+        rng = np.random.default_rng(38)
+        z = rng.normal(size=(r, 7))
+        u = rng.normal(size=(d, 7))
+        expected = pair.basis @ z
+        np.testing.assert_allclose(pair.lift(z), expected,
+                                   rtol=0, atol=1e-12 * np.abs(expected).max())
+        expected = pair.basis.T @ u
+        got = pair.coordinates(u)
+        assert got.shape == (r, 7)
+        np.testing.assert_allclose(got, expected,
+                                   rtol=0, atol=1e-12 * np.abs(expected).max())
+        np.testing.assert_allclose(pair.coordinates(pair.lift(z)), z,
+                                   rtol=0, atol=1e-12 * np.abs(z).max())
+
+    def test_cost_path_never_forms_q(self):
+        spectra, quantized = quantized_pair_spectra(1024, 60, seed=39)
+        pair = quantized_scatters(spectra, quantized, lam=0.5)
+        sub = solve_subspace(pair, 20, EPS)
+        u = sub.u.copy()
+        criterion(pair, sub)
+        assert "basis" not in vars(pair)
+        assert "s_t" not in vars(pair) and "s_w" not in vars(pair)
+        # coordinates works on its own copy: the subspace is left as solved
+        np.testing.assert_array_equal(sub.u, u)
 
 
 def quantized_scatter_oracle(x, xq, labels, lam):
