@@ -35,6 +35,11 @@ on p columns, and the explicit d' x r Q is formed only when something reads
 ScatterPair.basis.  Solve cost therefore scales with min(2n, d'), and no
 d' x d' matrix is formed for undersampled data unless a caller reads s_t,
 s_w or s_b.
+
+One LAPACK, through scipy's wrappers, both makes the reflectors (dgeqrf)
+and applies them (dormqr, dorgqr).  Those wrappers let other Python threads
+run while LAPACK works, so solves running side by side in a thread pool
+overlap their QRs; numpy's QR holds the interpreter for the whole call.
 """
 
 from dataclasses import dataclass
@@ -79,9 +84,7 @@ class ScatterPair:
 
     def _apply(self, trans: str, c: np.ndarray) -> np.ndarray:
         """Q c ("N") or Q^T c ("T"), overwriting c, a Fortran-ordered d' x k array."""
-        a, tau = self.reflectors
-        lwork = int(lapack.dormqr("L", trans, a, tau, c, -1)[1][0])
-        return lapack.dormqr("L", trans, a, tau, c, lwork, overwrite_c=1)[0]
+        return _lapack(lapack.dormqr, "L", trans, *self.reflectors, c, overwrite_c=1)[0]
 
     def lift(self, z: np.ndarray) -> np.ndarray:
         """Q z: columns z in the pair's r coordinates as d' vectors."""
@@ -102,7 +105,8 @@ class ScatterPair:
         """Q itself, d' x r; np.eye(d') when Q = I."""
         if self.reflectors is None:
             return np.eye(self.shape[1])
-        return lapack.dorgqr(*self.reflectors)[0]
+        a, tau = self.reflectors
+        return _lapack(lapack.dorgqr, a.copy(order="F"), tau, overwrite_a=1)[0]
 
     def _lift(self, a: np.ndarray) -> np.ndarray:
         return _sym(self.basis @ a @ self.basis.T)
@@ -120,11 +124,30 @@ class ScatterPair:
         return self.s_t - self.s_w
 
 
+def _lapack(routine, *args, **kwargs):
+    """The outputs of a scipy LAPACK wrapper before its workspace and info.
+
+    The call gets the workspace that a query (lwork = -1) asks for, so LAPACK
+    takes its blocked path with the block size numpy's QR gets; the
+    wrappers' default workspace (3n) forces a block of 3 columns, which is
+    slower and rounds differently.  Pass overwrite_* = 1 for an array the caller owns: the
+    query then reads it without a copy.  A non-zero info raises NumericError.
+    """
+    lwork = int(routine(*args, lwork=-1, **kwargs)[-2][0])
+    *out, info = routine(*args, lwork=lwork, **kwargs)
+    if info != 0:
+        raise NumericError(f"LAPACK {routine.__name__} returned info = {info}")
+    return out[:-1]
+
+
 def _span_coordinates(*blocks: np.ndarray):
     """(reflectors, coordinates): the Householder reflectors (a, tau) of the
     QR factorization of the blocks' stacked columns, and each block in its
-    basis Q, the column blocks of R = Q^T [blocks].  The stacked matrix is
-    Fortran-ordered, so a is too and LAPACK reads it without a copy; R is
+    basis Q, the column blocks of R = Q^T [blocks].  The stack is built
+    Fortran-ordered and LAPACK's dgeqrf factors it in place, with the
+    workspace it asks for: the call numpy's QR makes, so a, tau and R keep
+    numpy's bytes, but scipy's wrapper lets other threads run while it
+    works, so the swarm pool's evaluations overlap their QRs.  R is
     C-ordered like the reduced QR's, so the scatter products see the same
     bytes in the same layout.  With at least as many columns as rows there
     is no QR: the reflectors are None (Q = I) and the blocks are their own
@@ -133,9 +156,9 @@ def _span_coordinates(*blocks: np.ndarray):
     if cols >= blocks[0].shape[0]:
         return None, blocks
     stacked = np.empty((blocks[0].shape[0], cols), order="F")
-    h, tau = np.linalg.qr(np.concatenate(blocks, axis=1, out=stacked), mode="raw")
-    a = h.T
-    r = np.ascontiguousarray(np.triu(a[:a.shape[1]]))
+    a, tau = _lapack(lapack.dgeqrf, np.concatenate(blocks, axis=1, out=stacked),
+                     overwrite_a=1)
+    r = np.ascontiguousarray(np.triu(a[:cols]))
     return (a, tau), np.hsplit(r, len(blocks))
 
 

@@ -8,6 +8,7 @@ from qfda.blockdct import BlockLayout, SpectrumSet
 from qfda.discriminant import (
     ScatterPair,
     Subspace,
+    _lapack,
     _scatter_products,
     criterion,
     plain_scatters,
@@ -16,7 +17,15 @@ from qfda.discriminant import (
 )
 from qfda.errors import ConsistencyError, DataError, FormatError, NumericError
 from qfda.modelio import load_subspace, save_subspace
-from qfda.quantizer import BoundVector, LevelVector, QuantizerSpec, quantize
+from qfda.pso import CostContext, evaluate_cost
+from qfda.quantizer import (
+    BoundVector,
+    LevelVector,
+    QuantizerSpec,
+    estimate_bounds,
+    quantize,
+)
+from qfda.rate import fit_density
 
 from helpers import gaussian_class_spectra
 
@@ -441,6 +450,58 @@ class TestHouseholderBasis:
         # coordinates works on its own copy: the subspace is left as solved
         np.testing.assert_array_equal(sub.u, u)
 
+
+
+class TestLapackFactorization:
+    """The span QR is scipy's dgeqrf with its queried workspace: numpy's
+    blocked factorization, byte for byte, without numpy's QR on the cost path."""
+
+    def test_reflectors_are_numpys_raw_qr(self):
+        # 240 stacked columns take LAPACK's blocked path
+        spectra, quantized = quantized_pair_spectra(1024, 120, seed=40)
+        x, xq = spectra.coeffs, quantized.coeffs
+        for pair, blocks in [(quantized_scatters(spectra, quantized, lam=0.5), [x, xq]),
+                             (plain_scatters(spectra), [x])]:
+            h, tau = np.linalg.qr(np.hstack(blocks), mode="raw")
+            a, got_tau = pair.reflectors
+            np.testing.assert_array_equal(a, h.T)
+            np.testing.assert_array_equal(got_tau, tau)
+
+    def test_basis_is_numpys_reduced_q(self):
+        spectra, quantized = quantized_pair_spectra(1024, 120, seed=41)
+        pair = quantized_scatters(spectra, quantized, lam=0.5)
+        a = pair.reflectors[0].copy()
+        q = np.linalg.qr(np.hstack([spectra.coeffs, quantized.coeffs]))[0]
+        np.testing.assert_array_equal(pair.basis, q)
+        # forming Q leaves the reflectors that lift and coordinates apply
+        np.testing.assert_array_equal(pair.reflectors[0], a)
+
+    def test_cost_path_never_calls_numpys_qr(self, monkeypatch):
+        # numpy's QR holds the GIL for the whole call, so a swarm pool's
+        # evaluations would queue behind each other's factorizations
+        spectra, quantized = quantized_pair_spectra(1024, 40, seed=42)
+        bounds = estimate_bounds(spectra, s=15, seed=0)
+        density = fit_density(spectra, s=15, seed=0)
+        ctx = CostContext(spectra=spectra, bounds=bounds, density=density,
+                          epsilon=EPS, subspace_dim=5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg.qr called on the cost path")
+
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        assert plain_scatters(spectra).reflectors is not None
+        pair = quantized_scatters(spectra, quantized, lam=0.5)
+        assert pair.reflectors is not None
+        assert np.isfinite(criterion(pair, solve_subspace(pair, 5, EPS)))
+        m = np.maximum(2, bounds.ell // 2)
+        assert np.isfinite(evaluate_cost(m, ctx, gamma=0.1, lam=0.5).total)
+
+    def test_nonzero_info_raises(self):
+        def failing(a, lwork):
+            return a, np.array([float(a.shape[0])]), -1
+
+        with pytest.raises(NumericError, match="failing returned info = -1"):
+            _lapack(failing, np.ones((4, 2)))
 
 def quantized_scatter_oracle(x, xq, labels, lam):
     """The quantized scatters as a per-class loop of centered products."""
