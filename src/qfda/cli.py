@@ -220,6 +220,3 @@ def main(argv=None) -> int:
         return 1
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

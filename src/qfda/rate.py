@@ -25,20 +25,20 @@ saturated samples are one cumulative count and ndtr runs only on the window
 between.  FrequencyDensity.cdf is this sum.
 
 CDF tables (a binned KDE: Silverman, Applied Statistics 1982; Wand, JCGS
-1994).  The cells' masses are read from a table of each frequency's CDF,
-built once per density, so a fill costs one interpolation per edge however
-many samples there are.  The table has GRID_STEPS points per bandwidth and
-reaches GRID_MARGIN bandwidths beyond the outermost samples; an edge outside
-it reads exactly 0 or 1.  The samples are linearly binned onto the grid and
-convolved with ndtr(j / GRID_STEPS) by one FFT, and the samples already
-saturated at a point add their cumulative count.  Linear binning and linear
-interpolation each move a CDF value by at most (delta/h)^2 max|phi'| / 8, so
-a table value is within TABLE_ERROR = phi(1) / (4 GRID_STEPS^2) = 1.5e-5 of
-the exact sum.  A frequency whose table would need more than TABLE_LIMIT
-points per sample (fewer than 289 samples, or a wide span at a small
-bandwidth) keeps the exact sum instead.  Tables are built with the density,
-before any swarm thread starts, and only read afterwards, so no lock is
-taken.
+1994).  A fill reads QuantizerSpec.edges(k) straight into a table of the
+frequency's CDF, built once per density, and differences the values: one
+interpolation per edge however many samples there are.  The table has
+GRID_STEPS points per bandwidth and reaches GRID_MARGIN bandwidths beyond
+the outermost samples; an edge outside it reads exactly 0 or 1.  The samples
+are linearly binned onto the grid and convolved with ndtr(j / GRID_STEPS) by
+one FFT, and the samples already saturated at a point add their cumulative
+count.  Linear binning and linear interpolation each move a CDF value by at
+most (delta/h)^2 max|phi'| / 8, so a table value is within TABLE_ERROR =
+phi(1) / (4 GRID_STEPS^2) = 1.5e-5 of the exact sum.  A frequency whose table
+would need more than TABLE_LIMIT points per sample (fewer than 289 samples,
+or a wide span at a small bandwidth) keeps the exact sum instead.  Tables
+are built with the density, before any swarm thread starts, and only read
+afterwards, so no lock is taken.
 """
 
 from dataclasses import dataclass, field
@@ -78,12 +78,12 @@ class FrequencyDensity:
     tables: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.samples.ndim != 2 or self.samples.shape[0] != NUM_FREQUENCIES:
-            raise ValueError("samples must be a (64, N) array")
-        if self.samples.shape[1] < 1:
-            raise ValueError("every frequency needs at least one sample")
-        if (self.bandwidth <= 0).any():
-            raise ValueError("bandwidths must be positive")
+        if self.samples.ndim != 2 or self.samples.shape[0] != NUM_FREQUENCIES \
+                or self.samples.shape[1] < 1 or not np.isfinite(self.samples).all():
+            raise ValueError("samples must be a finite (64, N) array with N >= 1")
+        if np.shape(self.bandwidth) != (NUM_FREQUENCIES,) \
+                or not (np.isfinite(self.bandwidth) & np.greater(self.bandwidth, 0)).all():
+            raise ValueError("bandwidth must be a (64,) array of finite positive values")
         support = []
         for row in self.samples:
             values, counts = np.unique(row, return_counts=True)
@@ -206,16 +206,14 @@ class RateReport:
     average: float
 
 
-def interval_masses(density: FrequencyDensity, spec: QuantizerSpec, k: int):
-    """Probability mass of each quantization interval of frequency k.
+def _cell_masses(density: FrequencyDensity, spec: QuantizerSpec, k: int) -> np.ndarray:
+    """Frequency k's m_k cell masses: differences of the CDF at its edges."""
+    return np.diff(density.table_cdf(k, spec.edges(k)), prepend=0.0, append=1.0)
 
-    The edges' CDF values come from the frequency's table (table_cdf).
-    """
-    intervals = interval_partition(spec, k)
-    interior = np.array([hi for _, hi in intervals[:-1]])
-    cdf = density.table_cdf(k, interior)
-    masses = np.diff(np.concatenate([[0.0], cdf, [1.0]]))
-    return masses, intervals
+
+def interval_masses(density: FrequencyDensity, spec: QuantizerSpec, k: int):
+    """Frequency k's cell masses, as rate reads them, beside interval_partition."""
+    return _cell_masses(density, spec, k), interval_partition(spec, k)
 
 
 def rate(density: FrequencyDensity, spec: QuantizerSpec) -> RateReport:
@@ -229,7 +227,7 @@ def rate(density: FrequencyDensity, spec: QuantizerSpec) -> RateReport:
         key = (k, int(spec.bounds.ell[k]), int(spec.levels.m[k]))
         r_k = density.rates.get(key)
         if r_k is None:
-            masses, _ = interval_masses(density, spec, k)
+            masses = _cell_masses(density, spec, k)
             positive = masses[masses > 0.0]
             r_k = density.rates[key] = -(positive * np.log2(positive)).sum()
         per_frequency[k] = r_k

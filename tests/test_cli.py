@@ -1,9 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qfda.__main__ import BLAS_THREAD_VARIABLES
 from qfda.cli import main
 from qfda.dataset import load_split_indices, write_idx
 from qfda.discriminant import Subspace
@@ -462,3 +467,44 @@ def test_undecodable_file_exits_1(idx_paths, model_dir, tmp_path, target, capsys
     capsys.readouterr()
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+class TestConsoleEntry:
+    """The console entry pins one BLAS thread before numpy loads, unless set."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+    VARIABLES = BLAS_THREAD_VARIABLES
+    # runs the entry as the console script does, then prints what it left set
+    CODE = "\n".join([
+        "import os, sys",
+        "from qfda.__main__ import main",
+        "assert 'numpy' not in sys.modules",
+        "sys.argv = ['qfda', '--help']",
+        "try:",
+        "    main()",
+        "except SystemExit as exc:",
+        "    assert exc.code == 0",
+        "assert 'numpy' in sys.modules",
+        f"print(*(os.environ.get(name) for name in {VARIABLES!r}))",
+    ])
+
+    def run(self, args, **blas):
+        env = {k: v for k, v in os.environ.items() if k not in self.VARIABLES}
+        env.update(blas, PYTHONPATH=str(self.SRC))
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+    def test_unset_variables_read_one(self):
+        done = self.run(["-c", self.CODE])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1].split() == ["1"] * len(self.VARIABLES)
+
+    def test_a_value_the_user_set_is_kept(self):
+        done = self.run(["-c", self.CODE], OPENBLAS_NUM_THREADS="2")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1].split() == [
+            "2" if name == "OPENBLAS_NUM_THREADS" else "1" for name in self.VARIABLES]
+
+    def test_python_m_qfda_runs_the_cli(self):
+        done = self.run(["-m", "qfda", "--help"])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: qfda")

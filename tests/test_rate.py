@@ -14,9 +14,11 @@ from qfda.quantizer import (
 )
 from qfda.rate import (
     BANDWIDTH_FLOOR,
+    GRID_STEPS,
     SATURATION,
     TABLE_ERROR,
     FrequencyDensity,
+    _cell_masses,
     fit_density,
     interval_masses,
     interval_partition,
@@ -182,13 +184,13 @@ class TestRateTable:
 
     def test_each_term_computed_once(self, monkeypatch):
         calls = []
-        original = interval_masses
+        original = _cell_masses
 
         def counting(density, spec, k):
             calls.append((k, int(spec.bounds.ell[k]), int(spec.levels.m[k])))
             return original(density, spec, k)
 
-        monkeypatch.setattr("qfda.rate.interval_masses", counting)
+        monkeypatch.setattr("qfda.rate._cell_masses", counting)
         density = flat_density(self.samples, bandwidth=0.9)
         specs = self.specs()
         for spec in specs + specs:
@@ -266,7 +268,30 @@ class TestFitDensity:
             bounds.ell, np.maximum(2, np.floor(peaks + 0.5).astype(np.int64)))
 
 
+def with_entry(shape, index, value):
+    array = np.ones(shape)
+    array[index] = value
+    return array
+
+
 class TestDensityValidation:
+    @pytest.mark.parametrize("samples, bandwidth, name", [
+        pytest.param(np.zeros((64, 4)), np.ones(63), "bandwidth", id="bandwidth-63"),
+        pytest.param(np.zeros((64, 4)), np.ones((64, 1)), "bandwidth", id="bandwidth-64x1"),
+        pytest.param(np.zeros((64, 4)), with_entry(64, 5, np.nan), "bandwidth", id="bandwidth-nan"),
+        pytest.param(np.zeros((64, 4)), with_entry(64, 5, np.inf), "bandwidth", id="bandwidth-inf"),
+        pytest.param(with_entry((64, 4), (7, 2), np.inf), np.ones(64), "samples",
+                     id="samples-inf"),
+        pytest.param(with_entry((64, 4), (7, 2), -np.inf), np.ones(64), "samples",
+                     id="samples-minus-inf"),
+        pytest.param(with_entry((64, 4), (7, 2), np.nan), np.ones(64), "samples",
+                     id="samples-nan"),
+        pytest.param(np.zeros((64, 0)), np.ones(64), "samples", id="samples-none"),
+    ])
+    def test_bad_input_names_the_field(self, samples, bandwidth, name):
+        with pytest.raises(ValueError, match=name):
+            FrequencyDensity(samples=samples, bandwidth=bandwidth, seed=0, s=4)
+
     def test_shape_rejected(self):
         with pytest.raises(ValueError):
             FrequencyDensity(samples=np.zeros((63, 4)),
@@ -406,6 +431,44 @@ class TestCdfTable:
             got = density.table_cdf(k, x)
             assert got[[0, 1, 2]].tolist() == [0.0, 0.0, 0.0]
             assert got[[3, 4, 5]].tolist() == [1.0, 1.0, 1.0]
+
+    def test_table_cdf_matches_floor_clip_lerp_bytes(self):
+        # reference: the floor/clip/lerp written out; table_cdf must keep its bytes
+        def floor_clip_lerp(density, k, x):
+            start, table = density.tables[k]
+            u = (np.asarray(x, dtype=np.float64) - start) / (density.bandwidth[k] / GRID_STEPS)
+            i = np.clip(np.floor(u), 0, len(table) - 2).astype(np.intp)
+            inside = table[i] + (u - i) * (table[i + 1] - table[i])
+            return np.where(u <= 0, 0.0, np.where(u >= len(table) - 1, 1.0, inside))
+
+        density = self.bootstrap_density()
+        rng = np.random.default_rng(7)
+        for k in (0, 3, 17, 40, 63):
+            start, table = density.tables[k]
+            step = density.bandwidth[k] / GRID_STEPS
+            grid = start + np.arange(len(table)) * step
+            end = grid[-1]
+            x = np.concatenate([
+                grid, (grid[:-1] + grid[1:]) / 2,
+                rng.uniform(start, end, size=2000),
+                [-1e9, start - 5 * step, start - step, end + step, end + 5 * step, 1e9],
+                np.nextafter([start, end], -np.inf), np.nextafter([start, end], np.inf),
+            ])
+            assert density.table_cdf(k, x).tobytes() == floor_clip_lerp(density, k, x).tobytes()
+
+    def test_fill_builds_no_intervals(self, monkeypatch):
+        def refuse(spec, k):
+            raise AssertionError("a rate fill built the (lo, hi) intervals")
+
+        tabled = self.bootstrap_density()
+        exact = flat_density(np.random.default_rng(4).normal(0, 3, size=40), bandwidth=0.9)
+        assert all(table is not None for table in tabled.tables)
+        assert all(table is None for table in exact.tables)
+        monkeypatch.setattr("qfda.rate.interval_partition", refuse)
+        for density in (tabled, exact):
+            report = rate(density, uniform_spec(9, 6))
+            assert len(density.rates) == 64
+            assert np.isfinite(report.per_frequency).all()
 
     def test_small_sample_keeps_exact_sum(self):
         # criterion 5's sample counts: every table would exceed the limit
