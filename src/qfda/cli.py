@@ -14,15 +14,14 @@ from .config import ExperimentConfig, apply_overrides, load_config
 from .errors import DataError, FormatError, QfdaError, read_text
 from .experiment import (
     SPLITS,
-    cost_context,
     export_eigenfaces,
     export_quantized_images,
     prepare,
     prepare_for_model,
-    pso_config,
     read_errors,
     run_baseline_fda,
     run_experiment,
+    run_grid,
     search_model,
     split_reports,
     write_errors,
@@ -30,7 +29,6 @@ from .experiment import (
     write_splits,
 )
 from .modelio import load_model, save_model
-from .pso import run_pso
 
 
 def _build_config(args, **fields) -> ExperimentConfig:
@@ -75,12 +73,12 @@ def _cmd_optimize(args):
     # a one-cell grid, so gamma and lambda pass the grid keys' checks
     cfg = _build_config(args, gamma_grid=[args.gamma], lambda_grid=[args.lam])
     prepared = prepare(cfg)
-    ctx = cost_context(prepared, cfg)
-    result = run_pso(ctx, pso_config(cfg, args.gamma, args.lam), threads=cfg.threads)
+    grid = run_grid(prepared, cfg)
+    result = grid.chosen.pso
     out = Path(cfg.output_dir)
     write_search(out, result)
     save_model(out / "model",
-               search_model(ctx.bounds, result, prepared.layout, args.gamma, args.lam))
+               search_model(grid.bounds, result, prepared.layout, args.gamma, args.lam))
     print(f"best cost {result.breakdown.total:.6f} "
           f"(criterion {result.breakdown.criterion:.6f}, "
           f"rate {result.breakdown.rate:.4f} bits) "

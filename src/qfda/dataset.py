@@ -59,23 +59,6 @@ class RawImageSet:
         return self.pixels.shape[1]
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Train/validation/test proportions and the shuffle seed."""
-
-    train_fraction: float = 0.6
-    val_fraction: float = 0.2
-    test_fraction: float = 0.2
-    seed: int = 0
-
-    def __post_init__(self):
-        fractions = (self.train_fraction, self.val_fraction, self.test_fraction)
-        if any(not 0.0 < f < 1.0 for f in fractions):
-            raise ValueError("split fractions must lie in (0, 1)")
-        if abs(sum(fractions) - 1.0) > 1e-9:
-            raise ValueError("split fractions must sum to 1")
-
-
 @dataclass
 class CenteredImageSet:
     """Images with the (training) mean column removed."""
@@ -312,14 +295,21 @@ def select_classes(dataset: RawImageSet, classes, per_class=None) -> RawImageSet
     return subset(dataset, np.sort(np.concatenate(keep)))
 
 
-def split_indices(dataset: RawImageSet, spec: SplitSpec):
+def split_indices(dataset: RawImageSet, train_fraction: float, val_fraction: float,
+                  test_fraction: float, seed: int):
     """Per-class stratified index partition (train, val, test).
 
-    Each class is shuffled with the seeded generator and cut by the spec
-    fractions; counts are nudged so every split keeps at least one member
-    per class.  Indices within each split are returned in ascending order.
+    Each class is shuffled with the seeded generator and cut by the
+    fractions, which must lie in (0, 1) and sum to 1; counts are nudged so
+    every split keeps at least one member per class.  Indices within each
+    split are returned in ascending order.
     """
-    rng = np.random.default_rng(spec.seed)
+    fractions = (train_fraction, val_fraction, test_fraction)
+    if any(not 0.0 < f < 1.0 for f in fractions):
+        raise ValueError("split fractions must lie in (0, 1)")
+    if abs(sum(fractions) - 1.0) > 1e-9:
+        raise ValueError("split fractions must sum to 1")
+    rng = np.random.default_rng(seed)
     train, val, test = [], [], []
     for class_id in np.unique(dataset.labels):
         members = np.nonzero(dataset.labels == class_id)[0]
@@ -329,8 +319,8 @@ def split_indices(dataset: RawImageSet, spec: SplitSpec):
                 f"class {class_id} has {n_c} members; at least 3 required"
             )
         order = rng.permutation(members)
-        n_tr = int(round(spec.train_fraction * n_c))
-        n_va = int(round(spec.val_fraction * n_c))
+        n_tr = int(round(train_fraction * n_c))
+        n_va = int(round(val_fraction * n_c))
         n_te = n_c - n_tr - n_va
         # Guarantee every split is nonempty, stealing from the largest part.
         parts = [n_tr, n_va, n_te]

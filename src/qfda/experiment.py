@@ -20,7 +20,6 @@ from .blockdct import BlockLayout, SpectrumSet, forward_dct, inverse_dct
 from .config import ExperimentConfig, config_text
 from .dataset import (
     RawImageSet,
-    SplitSpec,
     center,
     load_idx,
     load_pgm_dir,
@@ -176,13 +175,8 @@ def prepare(config: ExperimentConfig) -> PreparedData:
         raise DataError(f"need images of at least two classes, got classes {present}")
     if config.resample_factor != 1:
         raw = resample(raw, config.resample_factor)
-    spec = SplitSpec(
-        train_fraction=config.train_fraction,
-        val_fraction=config.val_fraction,
-        test_fraction=config.test_fraction,
-        seed=config.split_seed,
-    )
-    train_idx, val_idx, test_idx = split_indices(raw, spec)
+    train_idx, val_idx, test_idx = split_indices(raw, config.train_fraction, config.val_fraction,
+                                                 config.test_fraction, config.split_seed)
     train_idx = _cap_train(train_idx, raw.labels, config.max_train_samples)
     if config.k_nn > len(train_idx):
         raise DataError(f"k_nn={config.k_nn} exceeds the {len(train_idx)} training images")
@@ -266,16 +260,6 @@ def cost_context(prepared: PreparedData, config: ExperimentConfig) -> CostContex
     )
 
 
-def pso_config(config: ExperimentConfig, gamma: float, lam: float) -> PsoConfig:
-    return PsoConfig(
-        gamma=gamma,
-        lam=lam,
-        particles=config.particles,
-        iterations=config.iterations,
-        seed=config.pso_seed,
-    )
-
-
 def run_grid(prepared: PreparedData, config: ExperimentConfig) -> GridResult:
     """Swarm-optimize the level vector for every (gamma, lambda) pair.
 
@@ -289,7 +273,9 @@ def run_grid(prepared: PreparedData, config: ExperimentConfig) -> GridResult:
     cells, val_reports = [], {}
     for gamma in config.gamma_grid:
         for lam in config.lambda_grid:
-            result = run_pso(ctx, pso_config(config, gamma, lam), threads=config.threads)
+            search = PsoConfig(gamma=gamma, lam=lam, particles=config.particles,
+                               iterations=config.iterations, seed=config.pso_seed)
+            result = run_pso(ctx, search, threads=config.threads)
             key = (lam, result.best.m.tobytes())
             if key not in val_reports:
                 spec = QuantizerSpec(bounds=ctx.bounds, levels=result.best)

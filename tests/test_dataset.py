@@ -7,7 +7,6 @@ import pytest
 
 from qfda.dataset import (
     RawImageSet,
-    SplitSpec,
     center,
     default_idx_labels_path,
     load_idx,
@@ -304,14 +303,15 @@ class TestSelectClasses:
 
 class TestSplit:
     def test_fraction_validation(self):
+        ds = small_set(n=9, classes=3)
         with pytest.raises(ValueError):
-            SplitSpec(train_fraction=0.5, val_fraction=0.2, test_fraction=0.2)
+            split_indices(ds, 0.5, 0.2, 0.2, 0)
         with pytest.raises(ValueError):
-            SplitSpec(train_fraction=1.0, val_fraction=0.0, test_fraction=0.0)
+            split_indices(ds, 1.0, 0.0, 0.0, 0)
 
     def test_partition(self):
         ds = two_class_images(n=60, height=8, width=8, seed=5)
-        tr, va, te = split_indices(ds, SplitSpec(seed=7))
+        tr, va, te = split_indices(ds, 0.6, 0.2, 0.2, 7)
         merged = np.concatenate([tr, va, te])
         assert len(merged) == 60
         np.testing.assert_array_equal(np.sort(merged), np.arange(60))
@@ -319,17 +319,15 @@ class TestSplit:
 
     def test_every_class_in_every_split(self):
         ds = small_set(n=9, classes=3)
-        tr, va, te = split_indices(
-            ds, SplitSpec(train_fraction=0.34, val_fraction=0.33,
-                          test_fraction=0.33, seed=0))
+        tr, va, te = split_indices(ds, 0.34, 0.33, 0.33, 0)
         for part in (tr, va, te):
             assert set(ds.labels[part].tolist()) == {0, 1, 2}
 
     def test_ascending_and_deterministic(self):
         ds = two_class_images(n=40, height=8, width=8, seed=2)
-        a = split_indices(ds, SplitSpec(seed=3))
-        b = split_indices(ds, SplitSpec(seed=3))
-        c = split_indices(ds, SplitSpec(seed=4))
+        a = split_indices(ds, 0.6, 0.2, 0.2, 3)
+        b = split_indices(ds, 0.6, 0.2, 0.2, 3)
+        c = split_indices(ds, 0.6, 0.2, 0.2, 4)
         for part_a, part_b in zip(a, b):
             np.testing.assert_array_equal(part_a, part_b)
             assert (np.diff(part_a) > 0).all()
@@ -340,7 +338,7 @@ class TestSplit:
             pixels=np.zeros((64, 5)), height=8, width=8,
             labels=np.array([0, 0, 0, 1, 1]))
         with pytest.raises(SplitError):
-            split_indices(ds, SplitSpec())
+            split_indices(ds, 0.6, 0.2, 0.2, 0)
 
     def test_save_load_indices(self, tmp_path):
         idx = np.array([3, 5, 11], dtype=np.int64)

@@ -241,6 +241,22 @@ class TestPrepare:
         np.testing.assert_allclose(
             val_pixels, subset(raw, va).pixels - train_mean[:, None], atol=1e-9)
 
+    def test_split_settings_reach_the_split(self, idx_paths, tmp_path):
+        # val and test differ in size, so a swapped fraction would show
+        from qfda.dataset import load_idx, split_indices
+
+        config = small_config(idx_paths, tmp_path, train_fraction=0.5, val_fraction=0.3,
+                              test_fraction=0.2, split_seed=5)
+        prepared = prepare(config)
+        assert (prepared.train.n, prepared.val.n, prepared.test.n) == (30, 18, 12)
+        raw = load_idx(config.dataset_path, None)
+        expected = split_indices(raw, 0.5, 0.3, 0.2, 5)
+        for got, want in zip(prepared.split_indices, expected):
+            np.testing.assert_array_equal(got, want)
+        # and seed 5 splits unlike the default seed 0
+        default = split_indices(raw, 0.5, 0.3, 0.2, 0)
+        assert any(not np.array_equal(a, b) for a, b in zip(expected, default))
+
     def test_train_cap_is_balanced(self, idx_paths, tmp_path):
         config = small_config(idx_paths, tmp_path, max_train_samples=10)
         prepared = prepare(config)
@@ -518,6 +534,41 @@ class TestObjectiveScale:
         f_q = [evaluate_cost(m, dataclasses.replace(ctx, epsilon=eps), 0.0, 0.5).criterion
                for eps in (1e-9, 1e-7, 1e-5)]
         assert max(f_q) < 1.01 * min(f_q), f_q
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP items 2(b) and 21: f_Q dwarfs the rate, so gamma "
+                              "never changes the chosen levels")
+    def test_gamma_changes_the_chosen_levels(self, tmp_path):
+        # the default budget and grids: two gamma cells per lambda
+        moved = []
+        for seed in (1, 2, 3):
+            images, _ = write_two_class_idx(tmp_path / str(seed), n=60, height=16, width=16,
+                                            seed=seed)
+            config = ExperimentConfig(dataset_path=str(images), output_dir=str(tmp_path),
+                                      max_dims=4, k_nn=3, split_seed=seed,
+                                      bootstrap_seed=seed, pso_seed=seed)
+            levels = {}
+            for cell in run_grid(prepare(config), config).cells:
+                levels.setdefault(cell.lam, set()).add(cell.pso.best.m.tobytes())
+            moved.append(any(len(chosen) > 1 for chosen in levels.values()))
+        assert any(moved), moved
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 14: with n > d' the coarsest quantizer "
+                              "scores a higher f_Q than the finest")
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_coarse_levels_score_below_fine_when_oversampled(self, tmp_path, seed):
+        # 120 training images of 8x8 against d' = 64; one direction, as S_B has rank 1
+        images, _ = write_two_class_idx(tmp_path, n=200, height=8, width=8, seed=seed)
+        config = ExperimentConfig(dataset_path=str(images), output_dir=str(tmp_path),
+                                  max_dims=1, split_seed=seed, bootstrap_seed=seed,
+                                  pso_seed=seed)
+        prepared = prepare(config)
+        assert prepared.train.n == 120 and prepared.layout.d_prime == 64
+        ctx = cost_context(prepared, config)
+        coarse = evaluate_cost(np.full(64, 2), ctx, 0.0, 0.5).criterion
+        fine = evaluate_cost(ctx.bounds.ell.copy(), ctx, 0.0, 0.5).criterion
+        assert coarse < fine, (coarse, fine)
 
 
 class TestOneSolvePerRun:
