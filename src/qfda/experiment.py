@@ -247,8 +247,8 @@ class GridResult:
 def cost_context(prepared: PreparedData, config: ExperimentConfig) -> CostContext:
     """Bounds and densities from one bootstrap sample of the training split.
 
-    Build it once per run: its rate table and solve memo serve every search
-    that is given it.
+    Build it once per run: its density's CDF tables and its solve memo serve
+    every search that is given it.
     """
     s = config.bootstrap_size or min(100, prepared.train.n)
     return CostContext(

@@ -121,15 +121,24 @@ class QuantizerSpec:
     def __post_init__(self):
         _first_level(self.bounds.ell, self.levels.m)
 
-    def edges(self, k: int) -> np.ndarray:
-        """The m_k - 1 finite cell edges of frequency k, ascending.
+    def cell_edges(self) -> np.ndarray:
+        """Each frequency's m_k - 1 cell edges j ell_k / t1, k after k.
 
-        The negative side keeps the first m_k - t1 breakpoints.  An edge
-        belongs to the cell farther from zero.
+        j runs over -(m_k - t1)..t1 - 1 but 0: the negative side keeps the
+        first m_k - t1 breakpoints.  An edge is in the cell farther from zero.
         """
-        m = int(self.levels.m[k])
-        t1, _, _, breakpoints = staircase_params(int(self.bounds.ell[k]), m)
-        return np.concatenate([-breakpoints[: m - t1][::-1], breakpoints])
+        m, ell = self.levels.m, self.bounds.ell
+        t1 = _first_level(ell, m)
+        freq = np.repeat(np.arange(NUM_FREQUENCIES), m - 1)
+        first = np.cumsum(m - 1) - (m - 1)  # each frequency's first edge
+        j = np.arange(len(freq)) - (first + m - t1)[freq]
+        j += j >= 0
+        return j * ell[freq] / t1[freq]
+
+    def edges(self, k: int) -> np.ndarray:
+        """Frequency k's m_k - 1 cell edges, its slice of cell_edges()."""
+        end = int(np.sum(self.levels.m[:k + 1] - 1))
+        return self.cell_edges()[end - int(self.levels.m[k]) + 1:end]
 
 
 def bootstrap_indices(n: int, s: int, seed: int) -> np.ndarray:

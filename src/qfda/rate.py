@@ -3,16 +3,12 @@
 Each frequency's coefficient distribution is estimated with a Gaussian
 kernel density over the bootstrap sample quantizer.bootstrap_frequencies
 draws.  The probability mass p_t landing in each cell of the staircase,
-whose edges QuantizerSpec.edges gives, comes from the mixture CDF, and the
-per-frequency rate is the interval entropy
+whose edges QuantizerSpec.cell_edges gives, comes from the mixture CDF, and
+the per-frequency rate is the interval entropy
 
     r_k = -sum_t p_t log2 p_t        (0 log 0 = 0)
 
 averaged over the 64 frequencies to a single scalar.
-
-r_k depends only on (ell_k, m_k) and on the density, which is fitted once
-per run, so each term is computed once and stored on the density under
-(k, ell_k, m_k); every later evaluation, in any thread, reads it back.
 
 Exact CDF.  A CDF value is the mean of ndtr((x - sample) / h) over the
 samples, and only the samples within SATURATION bandwidths of x can move it.
@@ -25,9 +21,9 @@ saturated samples are one cumulative count and ndtr runs only on the window
 between.  FrequencyDensity.cdf is this sum.
 
 CDF tables (a binned KDE: Silverman, Applied Statistics 1982; Wand, JCGS
-1994).  A fill reads QuantizerSpec.edges(k) straight into a table of the
-frequency's CDF, built once per density, and differences the values: one
-interpolation per edge however many samples there are.  The table has
+1994).  A fill reads every cell edge, all 64 frequencies in one pass, into
+tables of their CDFs, built once per density, and differences the values:
+one interpolation per edge however many samples there are.  The table has
 GRID_STEPS points per bandwidth and reaches GRID_MARGIN bandwidths beyond
 the outermost samples; an edge outside it reads exactly 0 or 1.  The samples
 are linearly binned onto the grid and convolved with ndtr(j / GRID_STEPS) by
@@ -36,9 +32,7 @@ count.  Linear binning and linear interpolation each move a CDF value by at
 most (delta/h)^2 max|phi'| / 8, so a table value is within TABLE_ERROR =
 phi(1) / (4 GRID_STEPS^2) = 1.5e-5 of the exact sum.  A frequency whose table
 would need more than TABLE_LIMIT points per sample (fewer than 289 samples,
-or a wide span at a small bandwidth) keeps the exact sum instead.  Tables
-are built with the density, before any swarm thread starts, and only read
-afterwards, so no lock is taken.
+or a wide span at a small bandwidth) keeps the exact sum instead.
 """
 
 from dataclasses import dataclass, field
@@ -61,20 +55,20 @@ TABLE_ERROR = float(np.exp(-0.5) / np.sqrt(2 * np.pi)) / (4 * GRID_STEPS ** 2)
 class FrequencyDensity:
     """Gaussian-KDE model per frequency: sample points plus bandwidths.
 
-    `rates` holds every r_k computed so far, keyed by (k, ell_k, m_k);
     `support` holds each frequency's sorted distinct samples, their counts
-    and the cumulative counts before each; and `tables` holds each
-    frequency's CDF table as (first grid point, CDF values), or None where
-    the exact sum is kept.  All three live as long as the density, so
-    `samples` and `bandwidth` must not be changed after fitting.
+    and the cumulative counts before each; `flat` holds the 64 CDF tables end
+    to end with their offsets, sizes (0 where the exact sum is kept) and
+    first grid points; `tables[k]` is (first grid point, view of its
+    values), or None.  All are built with the density, so `samples` and
+    `bandwidth` must not be changed after fitting.
     """
 
     samples: np.ndarray    # (64, N) pooled coefficients, image-major order
     bandwidth: np.ndarray  # (64,) positive reals
     seed: int
     s: int
-    rates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     support: tuple = field(init=False, repr=False, compare=False)
+    flat: tuple = field(init=False, repr=False, compare=False)
     tables: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -91,11 +85,16 @@ class FrequencyDensity:
                             np.concatenate([[0.0], np.cumsum(counts, dtype=np.float64)])))
         object.__setattr__(self, "support", tuple(support))
         kernels = {}  # FFT length -> transform of the ndtr kernel
+        start, tables = zip(*(self._table(k, kernels) for k in range(NUM_FREQUENCIES)))
+        size = np.array([len(t) for t in tables])
+        offset = np.cumsum(size) - size
+        flat = np.concatenate(tables)
+        object.__setattr__(self, "flat", (flat, offset, size, np.array(start)))
         object.__setattr__(self, "tables", tuple(
-            self._table(k, kernels) for k in range(NUM_FREQUENCIES)))
+            (first, flat[o:o + n]) if n else None for first, o, n in zip(start, offset, size)))
 
     def _table(self, k: int, kernels: dict):
-        """Frequency k's CDF on its grid, or None where the exact sum is kept."""
+        """Frequency k's first grid point and CDF table; NaN, empty if exact."""
         values, counts, _ = self.support[k]
         n = self.samples.shape[1]
         h = self.bandwidth[k]
@@ -103,7 +102,7 @@ class FrequencyDensity:
         margin = GRID_MARGIN * GRID_STEPS
         span = (values[-1] - values[0]) / step
         if span + 2 * margin + 1 > TABLE_LIMIT * n:
-            return None
+            return np.nan, np.empty(0)
         size = int(np.ceil(span)) + 2 * margin + 1
         # linear binning: each distinct sample splits its count between the
         # two grid points around it
@@ -149,19 +148,26 @@ class FrequencyDensity:
             inside[nonempty] = np.add.reduceat(terms, starts[nonempty])
         return ((before[lo] + inside) / self.samples.shape[1]).reshape(x.shape)
 
-    def table_cdf(self, k: int, x) -> np.ndarray:
-        """Mixture CDF of frequency k at x, interpolated on its table.
+    def table_cdf(self, k, x) -> np.ndarray:
+        """Mixture CDF at x, on the table of each point's frequency.
 
-        Within TABLE_ERROR of cdf(k, x); a frequency without a table returns
-        cdf(k, x) itself.
+        k is an int or an array shaped like x.  Within TABLE_ERROR of cdf,
+        which a frequency without a table keeps.
         """
-        if self.tables[k] is None:
-            return self.cdf(k, x)
-        start, table = self.tables[k]
-        u = (np.asarray(x, dtype=np.float64) - start) / (self.bandwidth[k] / GRID_STEPS)
-        i = np.clip(np.floor(u), 0, len(table) - 2).astype(np.intp)
-        inside = table[i] + (u - i) * (table[i + 1] - table[i])
-        return np.where(u <= 0, 0.0, np.where(u >= len(table) - 1, 1.0, inside))
+        x = np.asarray(x, dtype=np.float64)
+        k = np.broadcast_to(k, x.shape)
+        flat, offset, size, start = self.flat
+        out = np.empty(x.shape)
+        tabled = size[k] > 0
+        for j in np.unique(k[~tabled]):
+            out[k == j] = self.cdf(j, x[k == j])
+        k, x = k[tabled], x[tabled]
+        u = (x - start[k]) / (self.bandwidth[k] / GRID_STEPS)
+        i = np.clip(np.floor(u), 0, size[k] - 2).astype(np.intp)
+        lo, hi = flat[offset[k] + i], flat[offset[k] + i + 1]
+        inside = lo + (u - i) * (hi - lo)
+        out[tabled] = np.where(u <= 0, 0.0, np.where(u >= size[k] - 1, 1.0, inside))
+        return out
 
 
 def silverman_bandwidth(samples: np.ndarray) -> np.ndarray:
@@ -206,29 +212,23 @@ class RateReport:
     average: float
 
 
-def _cell_masses(density: FrequencyDensity, spec: QuantizerSpec, k: int) -> np.ndarray:
-    """Frequency k's m_k cell masses: differences of the CDF at its edges."""
-    return np.diff(density.table_cdf(k, spec.edges(k)), prepend=0.0, append=1.0)
-
-
 def interval_masses(density: FrequencyDensity, spec: QuantizerSpec, k: int):
     """Frequency k's cell masses, as rate reads them, beside interval_partition."""
-    return _cell_masses(density, spec, k), interval_partition(spec, k)
+    masses = np.diff(density.table_cdf(k, spec.edges(k)), prepend=0.0, append=1.0)
+    return masses, interval_partition(spec, k)
 
 
 def rate(density: FrequencyDensity, spec: QuantizerSpec) -> RateReport:
-    """Entropy rate of every frequency under the given quantizer.
-
-    Terms missing from `density.rates` are computed and stored.  Two threads
-    that miss the same key compute the same bits, so no lock is taken.
-    """
-    per_frequency = np.empty(NUM_FREQUENCIES)
-    for k in range(NUM_FREQUENCIES):
-        key = (k, int(spec.bounds.ell[k]), int(spec.levels.m[k]))
-        r_k = density.rates.get(key)
-        if r_k is None:
-            masses = _cell_masses(density, spec, k)
-            positive = masses[masses > 0.0]
-            r_k = density.rates[key] = -(positive * np.log2(positive)).sum()
-        per_frequency[k] = r_k
+    """Entropy rate of every frequency under the given quantizer, in one pass."""
+    m = spec.levels.m
+    freq = np.repeat(np.arange(NUM_FREQUENCIES), m - 1)
+    ends = np.cumsum(m + 1)  # one past each frequency's 0, CDF values, 1
+    padded = np.zeros(ends[-1])
+    padded[ends - 1] = 1.0
+    padded[np.arange(len(freq)) + 2 * freq + 1] = density.table_cdf(freq, spec.cell_edges())
+    masses = np.diff(padded)  # the 1 to the next frequency's 0 reads -1
+    positive = masses > 0.0
+    terms = masses[positive] * np.log2(masses[positive])
+    last = np.cumsum(positive)[ends[:-1] - 2]  # positive masses up to each frequency's end
+    per_frequency = -np.array([t.sum() for t in np.split(terms, last)])  # each in its own order
     return RateReport(per_frequency=per_frequency, average=float(per_frequency.mean()))

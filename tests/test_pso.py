@@ -193,7 +193,7 @@ class TestRunPso:
 
 
 class TestSharedRateTable:
-    # fresh contexts: the module fixture's density carries a warm rate table
+    # fresh contexts: the module fixture's context carries a warm solve memo
     @pytest.mark.parametrize("threads", [2, 4])
     def test_pool_shares_table_without_changing_results(self, threads):
         config = PsoConfig(gamma=0.3, lam=0.5, particles=6, iterations=3, seed=4)
@@ -209,10 +209,6 @@ class TestSharedRateTable:
         np.testing.assert_array_equal(a.history, b.history)
         assert a.trace == b.trace
         assert a.breakdown == b.breakdown
-        serial, pooled = serial_ctx.density.rates, pool_ctx.density.rates
-        assert serial.keys() == pooled.keys()
-        assert all(np.float64(serial[key]).tobytes() == np.float64(pooled[key]).tobytes()
-                   for key in serial)
 
 
 def recording_cost(record, lock):

@@ -141,6 +141,30 @@ class TestVectors:
                           levels=LevelVector(m=np.full(64, 1, dtype=np.int64)))
 
 
+class TestCellEdges:
+    @staticmethod
+    def staircase_edges(ell, m):
+        t1, _, _, breakpoints = staircase_params(ell, m)
+        return np.concatenate([-breakpoints[:m - t1][::-1], breakpoints])
+
+    def test_matches_staircase_breakpoints_bytes(self):
+        # m = 2, odd m, even m and m = ell on random ell up to 400: the
+        # negative side must keep exactly the first m - t1 breakpoints
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            ell = rng.integers(2, 401, size=64)
+            ell[0] = 2
+            odd = np.minimum(2 * rng.integers(1, ell // 2 + 1) + 1, ell)
+            even = 2 * rng.integers(1, ell // 2 + 1)
+            m = [np.full(64, 2), odd, even, ell][trial % 4].copy()
+            m[1:4] = [min(3, ell[1]), 2 * (ell[2] // 2), ell[3]]
+            spec = QuantizerSpec(bounds=BoundVector(ell=ell), levels=LevelVector(m=m))
+            expected = [self.staircase_edges(int(ell[k]), int(m[k])) for k in range(64)]
+            assert spec.cell_edges().tobytes() == np.concatenate(expected).tobytes()
+            for k in (0, 1, 2, 3, 63):
+                assert spec.edges(k).tobytes() == expected[k].tobytes()
+
+
 class TestBootstrap:
     def test_deterministic_and_in_range(self):
         a = bootstrap_indices(50, 20, seed=9)

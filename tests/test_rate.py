@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -18,7 +20,6 @@ from qfda.rate import (
     SATURATION,
     TABLE_ERROR,
     FrequencyDensity,
-    _cell_masses,
     fit_density,
     interval_masses,
     interval_partition,
@@ -165,7 +166,7 @@ def report_bytes(report):
 
 
 class TestRateTable:
-    """r_k is stored on the density under (k, ell_k, m_k)."""
+    """A density's fills do not depend on the fills before them."""
 
     samples = np.random.default_rng(14).normal(0, 3, size=35)
 
@@ -181,24 +182,6 @@ class TestRateTable:
             cold = rate(flat_density(self.samples, bandwidth=0.9), spec)
             for _ in range(2):  # the first call may fill, the second only reads
                 assert report_bytes(rate(warm, spec)) == report_bytes(cold)
-
-    def test_each_term_computed_once(self, monkeypatch):
-        calls = []
-        original = _cell_masses
-
-        def counting(density, spec, k):
-            calls.append((k, int(spec.bounds.ell[k]), int(spec.levels.m[k])))
-            return original(density, spec, k)
-
-        monkeypatch.setattr("qfda.rate._cell_masses", counting)
-        density = flat_density(self.samples, bandwidth=0.9)
-        specs = self.specs()
-        for spec in specs + specs:
-            rate(density, spec)
-        distinct = {(k, int(s.bounds.ell[k]), int(s.levels.m[k]))
-                    for s in specs for k in range(64)}
-        assert len(calls) == len(set(calls)) == len(distinct) < 64 * len(specs)
-        assert set(calls) == distinct == set(density.rates)
 
     def test_bound_is_part_of_the_key(self):
         shared = flat_density(self.samples, bandwidth=0.9)
@@ -467,7 +450,6 @@ class TestCdfTable:
         monkeypatch.setattr("qfda.rate.interval_partition", refuse)
         for density in (tabled, exact):
             report = rate(density, uniform_spec(9, 6))
-            assert len(density.rates) == 64
             assert np.isfinite(report.per_frequency).all()
 
     def test_small_sample_keeps_exact_sum(self):
@@ -479,6 +461,66 @@ class TestCdfTable:
             spec = uniform_spec(7, 5)
             masses, _ = interval_masses(density, spec, 0)
             assert masses.tobytes() == self.exact_masses(density, spec, 0).tobytes()
+
+    @classmethod
+    def floored_density(cls):
+        """test_bandwidth_floor_with_wide_span_keeps_exact_sum's density:
+        every frequency tabled but 9, whose floored bandwidth spans too wide."""
+        samples = cls.bootstrap_density().samples.copy()
+        samples[9] = 0.0
+        samples[9, ::400] = 30.0
+        return FrequencyDensity(samples=samples,
+                                bandwidth=silverman_bandwidth(samples), seed=0, s=120)
+
+    @staticmethod
+    def per_frequency_rate(density, spec):
+        """The rate filled frequency by frequency, each term summed on its own."""
+        per_frequency = np.empty(64)
+        for k in range(64):
+            masses = np.diff(density.table_cdf(k, spec.edges(k)), prepend=0.0, append=1.0)
+            positive = masses[masses > 0.0]
+            per_frequency[k] = -(positive * np.log2(positive)).sum()
+        return per_frequency.tobytes(), np.float64(per_frequency.mean()).tobytes()
+
+    def test_one_pass_fill_matches_per_frequency_bytes(self):
+        # tabled, exact and mixed densities; random m, m = 2 and m = ell
+        exact = flat_density(np.random.default_rng(4).normal(0, 3, size=40), bandwidth=0.9)
+        densities = {"tabled": self.bootstrap_density(), "exact": exact,
+                     "mixed": self.floored_density()}
+        assert all(table is not None for table in densities["tabled"].tables)
+        assert all(table is None for table in exact.tables)
+        assert [k for k, t in enumerate(densities["mixed"].tables) if t is None] == [9]
+        rng = np.random.default_rng(9)
+        for name, density in densities.items():
+            peaks = np.abs(density.samples).max(axis=1)
+            ell = np.maximum(2, np.floor(peaks + 0.5)).astype(np.int64)
+            levels = [np.full(64, 2), ell] + [rng.integers(2, ell + 1) for _ in range(8)]
+            for m in levels:
+                spec = spec_of(ell, m)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = report_bytes(rate(density, spec))
+                assert got == self.per_frequency_rate(density, spec), name
+
+    def test_fill_makes_one_table_lookup(self, monkeypatch):
+        calls = []
+        lookup = FrequencyDensity.table_cdf
+
+        def counting(density, k, x):
+            calls.append(np.shape(k))
+            return lookup(density, k, x)
+
+        def refuse(density, k, x):
+            raise AssertionError("a fully tabled density fell back to the exact sum")
+
+        density = self.bootstrap_density()
+        monkeypatch.setattr(FrequencyDensity, "table_cdf", counting)
+        monkeypatch.setattr(FrequencyDensity, "cdf", refuse)
+        spec = spec_of(np.full(64, 9), np.arange(64) % 8 + 2)
+        for fill in range(1, 4):
+            rate(density, spec)
+            assert len(calls) == fill
+        assert calls[0] == (int(np.sum(spec.levels.m - 1)),)
 
     def test_bandwidth_floor_with_wide_span_keeps_exact_sum(self):
         density = self.bootstrap_density()
