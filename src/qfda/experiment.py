@@ -113,19 +113,6 @@ class EvalReport:
         return cls(per_dim_errors=errors, mean=float(errors.mean()), std=float(errors.std()))
 
 
-def evaluate_subspace(
-    subspace: Subspace,
-    train: SpectrumSet,
-    eval_set: SpectrumSet,
-    config: ExperimentConfig,
-) -> EvalReport:
-    """k-NN error for every leading-direction count up to max_dims."""
-    u = subspace.u[:, :min(config.max_dims, subspace.dim)]
-    return EvalReport.from_errors(knn_error(u.T @ train.coeffs, train.labels,
-                                            u.T @ eval_set.coeffs, eval_set.labels,
-                                            config.k_nn))
-
-
 @dataclass
 class PreparedData:
     """Centered block-DCT spectra of the three splits; layout is their geometry."""
@@ -217,14 +204,19 @@ def split_reports(subspace: Subspace, prepared: PreparedData, config: Experiment
                   spec: QuantizerSpec | None = None, splits=SPLITS) -> dict:
     """k-NN error of the subspace on each named split against the training split.
 
-    Given a spec, the training split and the named splits are quantized with
-    it first; without one, the original spectra are scored.
+    A report covers q = 1..max_dims leading directions.  The training split
+    and each named split are projected once; given a spec, each is quantized
+    with it first, and without one the original spectra are scored.
     """
-    spectra = {split: getattr(prepared, split) for split in ("train", *splits)}
-    if spec is not None:
-        spectra = {split: quantize(s, spec) for split, s in spectra.items()}
+    u = subspace.u[:, :config.max_dims]
+    coords = {}
+    for split in dict.fromkeys(("train", *splits)):
+        spectra = getattr(prepared, split)
+        coords[split] = u.T @ (spectra if spec is None else quantize(spectra, spec)).coeffs
     return {
-        split: evaluate_subspace(subspace, spectra["train"], spectra[split], config)
+        split: EvalReport.from_errors(knn_error(coords["train"], prepared.train.labels,
+                                                coords[split], getattr(prepared, split).labels,
+                                                config.k_nn))
         for split in splits
     }
 

@@ -137,6 +137,8 @@ class QuantizerSpec:
 
     def edges(self, k: int) -> np.ndarray:
         """Frequency k's m_k - 1 cell edges, its slice of cell_edges()."""
+        if not 0 <= k < NUM_FREQUENCIES:
+            raise ValueError(f"frequency index k={k} outside 0..{NUM_FREQUENCIES - 1}")
         end = int(np.sum(self.levels.m[:k + 1] - 1))
         return self.cell_edges()[end - int(self.levels.m[k]) + 1:end]
 

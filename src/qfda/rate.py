@@ -56,11 +56,12 @@ class FrequencyDensity:
     """Gaussian-KDE model per frequency: sample points plus bandwidths.
 
     `support` holds each frequency's sorted distinct samples, their counts
-    and the cumulative counts before each; `flat` holds the 64 CDF tables end
-    to end with their offsets, sizes (0 where the exact sum is kept) and
-    first grid points; `tables[k]` is (first grid point, view of its
-    values), or None.  All are built with the density, so `samples` and
-    `bandwidth` must not be changed after fitting.
+    and the cumulative counts before each.  `flat` is (values, offset, size,
+    start): the 64 CDF tables end to end in one array, and per frequency its
+    table's offset into it, its size (0 where the exact sum is kept) and its
+    first grid point (NaN where exact), so frequency k's table is
+    values[offset[k]:offset[k] + size[k]].  Both are built with the density,
+    so `samples` and `bandwidth` must not be changed after fitting.
     """
 
     samples: np.ndarray    # (64, N) pooled coefficients, image-major order
@@ -69,7 +70,6 @@ class FrequencyDensity:
     s: int
     support: tuple = field(init=False, repr=False, compare=False)
     flat: tuple = field(init=False, repr=False, compare=False)
-    tables: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.samples.ndim != 2 or self.samples.shape[0] != NUM_FREQUENCIES \
@@ -88,10 +88,7 @@ class FrequencyDensity:
         start, tables = zip(*(self._table(k, kernels) for k in range(NUM_FREQUENCIES)))
         size = np.array([len(t) for t in tables])
         offset = np.cumsum(size) - size
-        flat = np.concatenate(tables)
-        object.__setattr__(self, "flat", (flat, offset, size, np.array(start)))
-        object.__setattr__(self, "tables", tuple(
-            (first, flat[o:o + n]) if n else None for first, o, n in zip(start, offset, size)))
+        object.__setattr__(self, "flat", (np.concatenate(tables), offset, size, np.array(start)))
 
     def _table(self, k: int, kernels: dict):
         """Frequency k's first grid point and CDF table; NaN, empty if exact."""
@@ -131,6 +128,8 @@ class FrequencyDensity:
         those as far above are left out; ndtr runs on the samples between,
         so the value equals the sum over every sample up to rounding.
         """
+        if not 0 <= k < NUM_FREQUENCIES:
+            raise ValueError(f"frequency index k={k} outside 0..{NUM_FREQUENCIES - 1}")
         x = np.asarray(x, dtype=np.float64)
         values, counts, before = self.support[k]
         h = self.bandwidth[k]

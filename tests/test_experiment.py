@@ -19,9 +19,9 @@ from qfda.discriminant import (
 from qfda.errors import ConsistencyError, DataError
 from qfda.experiment import (
     EvalReport,
+    PreparedData,
     cost_context,
     errors_csv,
-    evaluate_subspace,
     export_eigenfaces,
     export_quantized_images,
     grid_csv,
@@ -31,11 +31,12 @@ from qfda.experiment import (
     run_baseline_fda,
     run_experiment,
     run_grid,
+    split_reports,
     trace_csv,
 )
 from qfda.modelio import load_model, save_model
 from qfda.pso import evaluate_cost
-from qfda.quantizer import QuantizerSpec, estimate_bounds, quantize
+from qfda.quantizer import LevelVector, QuantizerSpec, estimate_bounds, quantize
 
 from helpers import gaussian_class_spectra, write_two_class_idx
 
@@ -153,12 +154,19 @@ def separable_sets():
     return train, evl
 
 
+def val_report(subspace, train, evl, config):
+    """split_reports' val report, with evl as the val split."""
+    prepared = PreparedData(train=train, val=evl, test=evl,
+                            mean_image=np.zeros(train.layout.d_prime), split_indices=())
+    return split_reports(subspace, prepared, config, splits=("val",))["val"]
+
+
 class TestEvaluateSubspace:
     def test_separated_clusters_score_zero(self):
         train, evl = separable_sets()
         config = ExperimentConfig(max_dims=5, k_nn=3)
         sub = solve_subspace(plain_scatters(train), 5, config.epsilon)
-        report = evaluate_subspace(sub, train, evl, config)
+        report = val_report(sub, train, evl, config)
         assert report.per_dim_errors.shape == (5,)
         np.testing.assert_array_equal(report.per_dim_errors, np.zeros(5))
 
@@ -166,7 +174,7 @@ class TestEvaluateSubspace:
         train, evl = separable_sets()
         config = ExperimentConfig(max_dims=4, k_nn=3)
         sub = solve_subspace(plain_scatters(train), 8, config.epsilon)
-        report = evaluate_subspace(sub, train, evl, config)
+        report = val_report(sub, train, evl, config)
         assert len(report.per_dim_errors) == 4
         one = knn_oracle(sub.u[:, :1].T @ train.coeffs, train.labels,
                          sub.u[:, :1].T @ evl.coeffs, evl.labels, 3)
@@ -185,7 +193,7 @@ class TestEvaluateSubspace:
         config = ExperimentConfig(max_dims=20, k_nn=3)
         tracemalloc.start()
         try:
-            report = evaluate_subspace(sub, train, evl, config)
+            report = val_report(sub, train, evl, config)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -306,6 +314,49 @@ class TestBaseline:
         scale = np.abs(plain.s_t).max()
         np.testing.assert_allclose(mixed.s_t, plain.s_t, atol=1e-8 * scale)
         np.testing.assert_allclose(mixed.s_w, plain.s_w, atol=1e-8 * scale)
+
+
+class TestSplitReports:
+    @staticmethod
+    def quantizer(prepared):
+        bounds = estimate_bounds(prepared.train, prepared.train.n, 0)
+        return QuantizerSpec(bounds=bounds, levels=LevelVector(np.maximum(2, bounds.ell // 2)))
+
+    @pytest.mark.parametrize("quantized", [False, True], ids=["plain", "spec"])
+    def test_reports_are_knn_on_explicit_projections(self, idx_paths, tmp_path, quantized):
+        # a 6-direction subspace scored at max_dims = 4, train among the splits
+        config = small_config(idx_paths, tmp_path)
+        prepared = prepare(config)
+        sub = solve_subspace(plain_scatters(prepared.train), 6, config.epsilon)
+        spec = self.quantizer(prepared) if quantized else None
+        reports = split_reports(sub, prepared, config, spec, ("test", "train", "val"))
+        assert list(reports) == ["test", "train", "val"]
+        u = sub.u[:, :4]
+
+        def coords(split):
+            spectra = getattr(prepared, split)
+            return u.T @ (spectra if spec is None else quantize(spectra, spec)).coeffs
+
+        for split, report in reports.items():
+            want = EvalReport.from_errors(knn_error(coords("train"), prepared.train.labels,
+                                                    coords(split), getattr(prepared, split).labels,
+                                                    config.k_nn))
+            assert report.per_dim_errors.tobytes() == want.per_dim_errors.tobytes(), split
+            assert (report.mean, report.std) == (want.mean, want.std), split
+
+    def test_each_split_is_quantized_once(self, idx_paths, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(spectra, spec):
+            calls.append(spectra.n)
+            return quantize(spectra, spec)
+
+        monkeypatch.setattr(qfda.experiment, "quantize", counted)
+        config = small_config(idx_paths, tmp_path)
+        prepared = prepare(config)
+        sub = solve_subspace(plain_scatters(prepared.train), 4, config.epsilon)
+        split_reports(sub, prepared, config, self.quantizer(prepared), ("train", "val", "test"))
+        assert calls == [prepared.train.n, prepared.val.n, prepared.test.n]
 
 
 @pytest.fixture(scope="module")
@@ -552,6 +603,25 @@ class TestObjectiveScale:
                 levels.setdefault(cell.lam, set()).add(cell.pso.best.m.tobytes())
             moved.append(any(len(chosen) > 1 for chosen in levels.values()))
         assert any(moved), moved
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 2(b): f_Q scales as 1/epsilon, so the chosen "
+                              "levels follow rounding, not the objective")
+    def test_chosen_levels_do_not_track_epsilon(self, tmp_path):
+        # the default budget and grids; epsilon x100 must leave every cell's best m
+        moved = []
+        for seed in (1, 2, 3):
+            images, _ = write_two_class_idx(tmp_path / str(seed), n=60, height=16, width=16,
+                                            seed=seed)
+            config = ExperimentConfig(dataset_path=str(images), output_dir=str(tmp_path),
+                                      max_dims=4, k_nn=3, split_seed=seed,
+                                      bootstrap_seed=seed, pso_seed=seed)
+            prepared = prepare(config)
+            chosen = [[cell.pso.best.m.tobytes() for cell in
+                       run_grid(prepared, dataclasses.replace(config, epsilon=eps)).cells]
+                      for eps in (1e-7, 1e-5)]
+            moved.append(sum(a != b for a, b in zip(*chosen)))
+        assert not any(moved), moved
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="ROADMAP item 14: with n > d' the coarsest quantizer "

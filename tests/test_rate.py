@@ -35,6 +35,17 @@ def uniform_spec(ell, m):
     )
 
 
+def tabled(density):
+    """Which frequencies have a CDF table: a nonzero size in density.flat."""
+    return density.flat[2] > 0
+
+
+def table_of(density, k):
+    """Frequency k's first grid point and its CDF table, a slice of density.flat."""
+    values, offset, size, start = density.flat
+    return start[k], values[offset[k]:offset[k] + size[k]]
+
+
 def flat_density(samples_1d, bandwidth=1.0):
     """Same 1-D sample set replicated over all 64 frequencies."""
     samples = np.tile(np.asarray(samples_1d, dtype=np.float64), (64, 1))
@@ -120,6 +131,23 @@ class TestIntervalMasses:
             pdf = np.exp(-0.5 * z * z).mean(axis=1) / (bw * np.sqrt(2 * np.pi))
             expected.append(np.trapezoid(pdf, xs))
         np.testing.assert_allclose(masses, expected, atol=1e-6)
+
+
+class TestFrequencyIndex:
+    @pytest.mark.parametrize("read", [
+        pytest.param(lambda density, spec, k: spec.edges(k), id="edges"),
+        pytest.param(lambda density, spec, k: interval_partition(spec, k),
+                     id="interval_partition"),
+        pytest.param(lambda density, spec, k: interval_masses(density, spec, k),
+                     id="interval_masses"),
+        pytest.param(lambda density, spec, k: density.cdf(k, 0.0), id="cdf"),
+    ])
+    @pytest.mark.parametrize("k", [-1, 64])
+    def test_index_outside_0_to_63_names_k(self, read, k):
+        # -1 must not read frequency 63, nor give the whole line as one cell
+        density = flat_density([-1.0, 0.5, 2.0])
+        with pytest.raises(ValueError, match=f"k={k} "):
+            read(density, uniform_spec(9, 6), k)
 
 
 class TestRate:
@@ -383,7 +411,7 @@ class TestCdfTable:
 
     def test_table_within_stated_bound_of_exact_cdf(self):
         density = self.bootstrap_density()
-        assert all(table is not None for table in density.tables)
+        assert tabled(density).all()
         for k in (0, 1, 17, 40, 63):
             values = density.support[k][0]
             h = density.bandwidth[k]
@@ -407,7 +435,7 @@ class TestCdfTable:
     def test_edges_outside_the_table_read_exactly_0_and_1(self):
         density = self.bootstrap_density()
         for k in (3, 50):
-            start, table = density.tables[k]
+            start, table = table_of(density, k)
             step = density.bandwidth[k] / 64
             end = start + (len(table) - 1) * step
             x = np.array([-1e9, start - step, start, end, end + step, 1e9])
@@ -418,7 +446,7 @@ class TestCdfTable:
     def test_table_cdf_matches_floor_clip_lerp_bytes(self):
         # reference: the floor/clip/lerp written out; table_cdf must keep its bytes
         def floor_clip_lerp(density, k, x):
-            start, table = density.tables[k]
+            start, table = table_of(density, k)
             u = (np.asarray(x, dtype=np.float64) - start) / (density.bandwidth[k] / GRID_STEPS)
             i = np.clip(np.floor(u), 0, len(table) - 2).astype(np.intp)
             inside = table[i] + (u - i) * (table[i + 1] - table[i])
@@ -427,7 +455,7 @@ class TestCdfTable:
         density = self.bootstrap_density()
         rng = np.random.default_rng(7)
         for k in (0, 3, 17, 40, 63):
-            start, table = density.tables[k]
+            start, table = table_of(density, k)
             step = density.bandwidth[k] / GRID_STEPS
             grid = start + np.arange(len(table)) * step
             end = grid[-1]
@@ -443,12 +471,12 @@ class TestCdfTable:
         def refuse(spec, k):
             raise AssertionError("a rate fill built the (lo, hi) intervals")
 
-        tabled = self.bootstrap_density()
+        tabled_density = self.bootstrap_density()
         exact = flat_density(np.random.default_rng(4).normal(0, 3, size=40), bandwidth=0.9)
-        assert all(table is not None for table in tabled.tables)
-        assert all(table is None for table in exact.tables)
+        assert tabled(tabled_density).all()
+        assert not tabled(exact).any()
         monkeypatch.setattr("qfda.rate.interval_partition", refuse)
-        for density in (tabled, exact):
+        for density in (tabled_density, exact):
             report = rate(density, uniform_spec(9, 6))
             assert np.isfinite(report.per_frequency).all()
 
@@ -457,7 +485,7 @@ class TestCdfTable:
         rng = np.random.default_rng(6)
         for n in (5, 40, 144):
             density = flat_density(rng.normal(0, 3, size=n), bandwidth=0.9)
-            assert all(table is None for table in density.tables)
+            assert not tabled(density).any()
             spec = uniform_spec(7, 5)
             masses, _ = interval_masses(density, spec, 0)
             assert masses.tobytes() == self.exact_masses(density, spec, 0).tobytes()
@@ -487,9 +515,9 @@ class TestCdfTable:
         exact = flat_density(np.random.default_rng(4).normal(0, 3, size=40), bandwidth=0.9)
         densities = {"tabled": self.bootstrap_density(), "exact": exact,
                      "mixed": self.floored_density()}
-        assert all(table is not None for table in densities["tabled"].tables)
-        assert all(table is None for table in exact.tables)
-        assert [k for k, t in enumerate(densities["mixed"].tables) if t is None] == [9]
+        assert tabled(densities["tabled"]).all()
+        assert not tabled(exact).any()
+        assert np.flatnonzero(~tabled(densities["mixed"])).tolist() == [9]
         rng = np.random.default_rng(9)
         for name, density in densities.items():
             peaks = np.abs(density.samples).max(axis=1)
@@ -530,8 +558,8 @@ class TestCdfTable:
         floored = FrequencyDensity(samples=samples,
                                    bandwidth=silverman_bandwidth(samples), seed=0, s=120)
         assert floored.bandwidth[9] == BANDWIDTH_FLOOR
-        assert floored.tables[9] is None
-        assert floored.tables[8] is not None
+        assert not tabled(floored)[9]
+        assert tabled(floored)[8]
         spec = uniform_spec(31, 7)
         masses, _ = interval_masses(floored, spec, 9)
         assert masses.tobytes() == self.exact_masses(floored, spec, 9).tobytes()
