@@ -33,27 +33,26 @@ DCT_BASIS = _dct_matrix()  # (8, 8); forward per block is  C f C^T
 
 @dataclass(frozen=True)
 class BlockLayout:
-    """Geometry linking original image dims to the padded block grid."""
+    """Image dims; the padded block grid (each side up to a multiple of 8) follows."""
 
     height: int
     width: int
-    padded_height: int
-    padded_width: int
 
     @classmethod
     def for_image(cls, height: int, width: int) -> "BlockLayout":
-        pad = lambda v: ((v + BLOCK - 1) // BLOCK) * BLOCK
-        return cls(height, width, pad(height), pad(width))
+        return cls(height, width)
 
     def __post_init__(self):
         if min(self.height, self.width) < 1:
             raise ConsistencyError(f"image size {self.height}x{self.width} is not positive")
-        for padded, original in ((self.padded_height, self.height),
-                                 (self.padded_width, self.width)):
-            if padded % BLOCK or padded < original or padded - original >= BLOCK:
-                raise ConsistencyError(
-                    "padded dims must be the smallest multiples of 8 >= originals"
-                )
+
+    @property
+    def padded_height(self) -> int:
+        return (self.height + BLOCK - 1) // BLOCK * BLOCK
+
+    @property
+    def padded_width(self) -> int:
+        return (self.width + BLOCK - 1) // BLOCK * BLOCK
 
     @property
     def blocks_per_image(self) -> int:

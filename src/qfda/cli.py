@@ -22,7 +22,6 @@ from .experiment import (
     run_baseline_fda,
     run_experiment,
     run_grid,
-    search_model,
     split_reports,
     write_errors,
     write_search,
@@ -77,8 +76,7 @@ def _cmd_optimize(args):
     result = grid.chosen.pso
     out = Path(cfg.output_dir)
     write_search(out, result)
-    save_model(out / "model",
-               search_model(grid.bounds, result, prepared.layout, args.gamma, args.lam))
+    save_model(out / "model", grid.model)
     print(f"best cost {result.breakdown.total:.6f} "
           f"(criterion {result.breakdown.criterion:.6f}, "
           f"rate {result.breakdown.rate:.4f} bits) "

@@ -10,7 +10,6 @@ method embeds the quantized spectra; the baseline embeds the original
 spectra.
 """
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,13 +39,7 @@ from .discriminant import (
 from .errors import ConsistencyError, DataError, FormatError, read_text, write_text
 from .modelio import ModelBundle, save_model
 from .pso import CostContext, PsoConfig, PsoResult, run_pso
-from .quantizer import (
-    BoundVector,
-    LevelVector,
-    QuantizerSpec,
-    estimate_bounds,
-    quantize,
-)
+from .quantizer import LevelVector, QuantizerSpec, estimate_bounds, quantize
 from .rate import fit_density
 
 SPLITS = ("train", "val", "test")
@@ -231,9 +224,11 @@ class GridCell:
 
 @dataclass
 class GridResult:
+    """Every cell's search, the chosen cell, and model: the quantizer and subspace it found."""
+
     cells: list
     chosen: GridCell
-    bounds: BoundVector
+    model: ModelBundle
 
 
 def cost_context(prepared: PreparedData, config: ExperimentConfig) -> CostContext:
@@ -276,29 +271,24 @@ def run_grid(prepared: PreparedData, config: ExperimentConfig) -> GridResult:
             cells.append(GridCell(gamma=gamma, lam=lam, val_report=val_reports[key],
                                   pso=result))
     chosen = min(cells, key=lambda c: (c.val_report.mean, c.gamma, c.lam))
-    return GridResult(cells=cells, chosen=chosen, bounds=ctx.bounds)
+    pso = chosen.pso
+    model = ModelBundle(bounds=ctx.bounds, levels=pso.best, subspace=pso.breakdown.subspace,
+                        layout=prepared.layout, gamma=chosen.gamma, lam=chosen.lam,
+                        breakdown=pso.breakdown)
+    return GridResult(cells=cells, chosen=chosen, model=model)
 
 
-def finalize_model(prepared: PreparedData, config: ExperimentConfig, grid: GridResult):
-    """Bundle the chosen cell's quantizer and subspace; evaluate all splits.
+def finalize_model(prepared: PreparedData, config: ExperimentConfig, grid: GridResult) -> dict:
+    """Reports of grid.model on all splits.
 
-    The subspace is the one the swarm solved for the chosen level vector
-    and lambda, so nothing is solved again here.  run_grid already scored
-    the val split with this subspace and quantizer, so only train and test
-    are scored.
+    The model's subspace is the one the swarm solved for the chosen level
+    vector and lambda, so nothing is solved again here.  run_grid already
+    scored the val split with this subspace and quantizer, so only train
+    and test are scored.
     """
-    cell = grid.chosen
-    bundle = search_model(grid.bounds, cell.pso, prepared.layout, cell.gamma, cell.lam)
-    scored = split_reports(bundle.subspace, prepared, config, bundle.spec, ("train", "test"))
-    reports = {"train": scored["train"], "val": cell.val_report, "test": scored["test"]}
-    return bundle, reports
-
-
-def search_model(bounds: BoundVector, pso: PsoResult, layout: BlockLayout,
-                 gamma: float, lam: float) -> ModelBundle:
-    """The model one swarm search found: its best levels and their subspace."""
-    return ModelBundle(bounds=bounds, levels=pso.best, subspace=pso.breakdown.subspace,
-                       layout=layout, gamma=gamma, lam=lam, breakdown=pso.breakdown)
+    model = grid.model
+    scored = split_reports(model.subspace, prepared, config, model.spec, ("train", "test"))
+    return {"train": scored["train"], "val": grid.chosen.val_report, "test": scored["test"]}
 
 
 def _normalize_to_byte(image: np.ndarray) -> np.ndarray:
@@ -440,7 +430,12 @@ class ExperimentResult:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Full protocol: baseline, grid search, final model, file exports."""
+    """Full protocol: baseline, grid search, final model, file exports.
+
+    The result's bundle is grid.model.  Notes on the run, such as optimum
+    levels that favor high frequencies, arrive only in the result's
+    warnings list; no Python warning is raised.
+    """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_text(out / "config.txt", config_text(config))
@@ -456,7 +451,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for cell in grid.cells:
         write_search(out / f"cell_g{_fmt(cell.gamma)}_l{_fmt(cell.lam)}", cell.pso)
 
-    bundle, qfda_reports = finalize_model(prepared, config, grid)
+    qfda_reports = finalize_model(prepared, config, grid)
+    bundle = grid.model
     write_errors(out, "qfda", qfda_reports)
     write_search(out, grid.chosen.pso)
     save_model(out / "model", bundle)
@@ -469,12 +465,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     m = bundle.levels.m
     low, high = float(m[:8].mean()), float(m[56:].mean())
     if low < high:
-        message = (
-            f"optimum levels favor high frequencies (low-band mean {low:.2f} "
-            f"< high-band mean {high:.2f}); small swarm budgets can do this"
-        )
-        warnings.warn(message, RuntimeWarning, stacklevel=2)
-        notes.append(message)
+        notes.append(f"optimum levels favor high frequencies (low-band mean {low:.2f} "
+                     f"< high-band mean {high:.2f}); small swarm budgets can do this")
 
     return ExperimentResult(
         output_dir=out,

@@ -150,10 +150,14 @@ class FrequencyDensity:
     def table_cdf(self, k, x) -> np.ndarray:
         """Mixture CDF at x, on the table of each point's frequency.
 
-        k is an int or an array shaped like x.  Within TABLE_ERROR of cdf,
-        which a frequency without a table keeps.
+        k is an int or an array shaped like x, every entry in 0..63.  Within
+        TABLE_ERROR of cdf, which a frequency without a table keeps.
         """
         x = np.asarray(x, dtype=np.float64)
+        k = np.asarray(k)
+        if k.size and not 0 <= k.min() <= k.max() < NUM_FREQUENCIES:
+            bad = k.min() if k.min() < 0 else k.max()
+            raise ValueError(f"frequency index k={bad} outside 0..{NUM_FREQUENCIES - 1}")
         k = np.broadcast_to(k, x.shape)
         flat, offset, size, start = self.flat
         out = np.empty(x.shape)

@@ -48,12 +48,6 @@ class TestLayout:
         layout = BlockLayout.for_image(16, 8)
         assert (layout.padded_height, layout.padded_width) == (16, 8)
 
-    def test_invalid_padding_rejected(self):
-        with pytest.raises(ConsistencyError):
-            BlockLayout(height=10, width=10, padded_height=24, padded_width=16)
-        with pytest.raises(ConsistencyError):
-            BlockLayout(height=10, width=10, padded_height=16, padded_width=10)
-
     def test_non_positive_size_rejected(self):
         # -17 pads to -16, so a -17x-17 model.json would pass the d' = 256 check
         for height, width in ((-17, -17), (0, 8)):

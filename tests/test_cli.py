@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,20 @@ class TestGridCommand:
         report = capsys.readouterr().out
         assert "== grid.csv ==" in report
         assert "qfda test: mean" in report
+
+    def test_low_band_note_printed_once_and_not_raised(self, idx_paths, tmp_path, capsys):
+        # this budget and seed end at low-band mean 51.12 < high-band mean 63.62
+        args = ["--set", "particles=1", "--set", "iterations=1", "--set", "pso_seed=136"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["grid"] + base_args(idx_paths, tmp_path / "run") + args) == 0
+        captured = capsys.readouterr()
+        notes = [line for line in captured.out.splitlines()
+                 if line.startswith("warning: optimum levels favor high frequencies")]
+        assert len(notes) == 1, captured.out
+        assert "51.12 < high-band mean 63.62" in notes[0]
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert captured.err == ""
 
 
 class TestPrepareCommand:

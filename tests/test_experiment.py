@@ -374,14 +374,14 @@ class TestGrid:
         best_mean = min(c.val_report.mean for c in grid.cells)
         candidates = [c for c in grid.cells if c.val_report.mean == best_mean]
         assert grid.chosen is candidates[0]
-        assert grid.bounds.bootstrap_size == 36
+        assert grid.model.bounds.bootstrap_size == 36
 
     def test_budget_and_level_bounds(self, experiment):
         _, result = experiment
         for cell in result.grid.cells:
             assert cell.pso.evaluations <= 3 * 3
             assert (cell.pso.best.m >= 2).all()
-            assert (cell.pso.best.m <= result.grid.bounds.ell).all()
+            assert (cell.pso.best.m <= result.grid.model.bounds.ell).all()
 
     def test_grid_csv_layout(self, experiment):
         config, result = experiment
@@ -558,7 +558,7 @@ class TestOneSolvePerLevelVector:
         config, result = experiment
         chosen = result.grid.chosen
         prepared = prepare(config)
-        spec = QuantizerSpec(bounds=result.grid.bounds, levels=chosen.pso.best)
+        spec = QuantizerSpec(bounds=result.grid.model.bounds, levels=chosen.pso.best)
         pair = quantized_scatters(prepared.train, quantize(prepared.train, spec),
                                   chosen.lam)
         expected = solve_subspace(pair, min(config.max_dims, prepared.layout.d_prime),
@@ -566,6 +566,22 @@ class TestOneSolvePerLevelVector:
         assert result.bundle.subspace.u.tobytes() == expected.u.tobytes()
         assert result.bundle.subspace.eigenvalues.tobytes() == \
             expected.eigenvalues.tobytes()
+
+    def test_grid_model_is_the_chosen_cells_search(self, experiment):
+        config, result = experiment
+        grid = result.grid
+        chosen, model = grid.chosen, grid.model
+        assert model is result.bundle
+        assert model.levels is chosen.pso.best
+        assert model.subspace is chosen.pso.breakdown.subspace
+        assert model.breakdown is chosen.pso.breakdown
+        assert (model.gamma, model.lam) == (chosen.gamma, chosen.lam)
+        prepared = prepare(config)
+        assert model.layout == prepared.layout
+        bounds = cost_context(prepared, config).bounds
+        assert np.array_equal(model.bounds.ell, bounds.ell)
+        assert (model.bounds.bootstrap_seed, model.bounds.bootstrap_size) == \
+            (bounds.bootstrap_seed, bounds.bootstrap_size)
 
     def test_saved_breakdown_carries_no_subspace(self, experiment):
         _, result = experiment

@@ -149,6 +149,21 @@ class TestFrequencyIndex:
         with pytest.raises(ValueError, match=f"k={k} "):
             read(density, uniform_spec(9, 6), k)
 
+    @pytest.mark.parametrize("samples", [
+        pytest.param(np.random.default_rng(5).normal(0, 2, size=1600), id="tabled"),
+        pytest.param([-1.0, 0.5, 2.0], id="exact"),
+    ])
+    @pytest.mark.parametrize("as_array", [False, True], ids=["int-k", "array-k"])
+    @pytest.mark.parametrize("k", [-1, 64])
+    def test_table_cdf_index_outside_0_to_63_names_k(self, samples, as_array, k):
+        # on a tabled density -1 must not read frequency 63's table, nor 64
+        # raise a bare IndexError
+        density = flat_density(samples)
+        assert tabled(density).all() == (len(samples) == 1600)
+        index = np.array([0, k]) if as_array else k
+        with pytest.raises(ValueError, match=f"k={k} "):
+            density.table_cdf(index, [0.0, 1.0])
+
 
 class TestRate:
     def test_entropy_bounds(self):
